@@ -52,7 +52,7 @@ Timestamp = int
 Value = Union[int, _Tombstone]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedValue:
     """A value copy tagged with the logical time of the upsert that wrote it.
 

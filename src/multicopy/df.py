@@ -1,7 +1,7 @@
 """Differential-file instance: one write buffer in front of one big table.
 
 The smallest useful multicopy shape. All writes land in the in-memory root
-buffer; a flush moves every buffered record into the unbounded sorted table
+buffer; a flush moves every buffered record into the unbounded table
 behind it. The single edge owns the whole keyspace, so a search is: check
 the buffer, else check the table, else report the key deleted. Since the
 table is unbounded a flush always empties the buffer completely, and every
@@ -65,12 +65,7 @@ class DfStructure(MulticopyStructure):
             m = self._handles[self._disk]
             m_id = self._disk
             self._acquire(m_id)
-            moved = merge_contents(n, m)
-            if moved:
-                landed = m.contents()
-                view = self._succ_reach[self._root]
-                for k in moved:
-                    view[k] = landed[k]
+            self._succ_reach[self._root].update(merge_contents(n, m))
         finally:
             held = self._held_list()
             if self._root in held:

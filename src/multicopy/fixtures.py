@@ -247,10 +247,7 @@ def replay_unsound_merges() -> FixtureReport:
         return _graph_of(ks, n.id, handles, q)
 
     def do_merge(src: NodeHandle, dst: NodeHandle) -> None:
-        moved = merge_contents(src, dst)
-        landed = dst.contents()
-        for k in moved:
-            q[src.id][k] = landed[k]
+        q[src.id].update(merge_contents(src, dst))
 
     states = [snap()]
     for src, dst in [(n, m), (n, p), (p, m)]:

@@ -38,6 +38,7 @@ from typing import Literal, Optional
 from .core import (
     EdgesetDisjointnessError,
     Key,
+    MulticopyError,
     NodeContents,
     StructuralError,
     TimedValue,
@@ -331,17 +332,25 @@ def graph_to_json(g: MulticopyGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> MulticopyGraph:
-    g = MulticopyGraph(
-        keyspace_size=obj["keyspace_size"],
-        root=obj["root"],
-        nodes=set(obj["nodes"]),
-    )
-    for n_s, c in obj.get("contents", {}).items():
-        g.contents[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in c.items()}
-    for n, m, ks in obj.get("edgesets", []):
-        g.edgesets.setdefault(n, {})[m] = frozenset(ks)
-    for n_s, sr in obj.get("succ_reach", {}).items():
-        g.succ_reach[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in sr.items()}
+    """Rebuild a snapshot; a malformed one raises MulticopyError."""
+    if not isinstance(obj, dict):
+        raise MulticopyError("malformed snapshot: expected a JSON object")
+    try:
+        g = MulticopyGraph(
+            keyspace_size=obj["keyspace_size"],
+            root=obj["root"],
+            nodes=set(obj["nodes"]),
+        )
+        for n_s, c in obj.get("contents", {}).items():
+            g.contents[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in c.items()}
+        for n, m, ks in obj.get("edgesets", []):
+            g.edgesets.setdefault(n, {})[m] = frozenset(ks)
+        for n_s, sr in obj.get("succ_reach", {}).items():
+            g.succ_reach[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in sr.items()}
+    except KeyError as e:
+        raise MulticopyError(f"malformed snapshot: missing field {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise MulticopyError(f"malformed snapshot: {e}") from None
     return g
 
 
@@ -353,4 +362,8 @@ def save_graph(g: MulticopyGraph, path: str) -> None:
 
 def load_graph(path: str) -> MulticopyGraph:
     with open(path) as f:
-        return graph_from_json(json.load(f))
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as e:
+            raise MulticopyError(f"malformed snapshot: not JSON ({e})") from None
+    return graph_from_json(obj)

@@ -23,8 +23,8 @@ deliberately skimpy:
       what keeps concurrent compactions deadlock-free on a DAG.
 
 LsmStructure specializes the template to the log-structured shape: a small
-in-memory root buffer and a chain of exponentially growing sorted tables
-that appears as compaction pushes records down.
+root and a chain of exponentially growing tables that appears as compaction
+pushes records down.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ class MulticopyStructure:
             i: dict((succ_reach or {}).get(i, {})) for i in self._handles
         }
         self._clock = clock
+        self._all_keys: Optional[frozenset[Key]] = None
         self.history = history if history is not None else UpsertHistory(keyspace_size)
         # Maintenance hook: runs (lock-free) after a failed root append.
         self._on_root_full: Optional[Callable[[], None]] = (
@@ -254,7 +255,7 @@ class MulticopyStructure:
                     ks = (
                         new_edge_keys(n)
                         if new_edge_keys is not None
-                        else frozenset(range(self.keyspace_size)) - n.routed_keys()
+                        else self._unrouted_keys(n)
                     )
                     # Linking happens under n's lock; nobody can reach m
                     # before this edge exists, so its lock cannot block.
@@ -263,12 +264,7 @@ class MulticopyStructure:
                 else:
                     m = self._handles[m_id]
                 self._acquire(m_id)
-                moved = merge_contents(n, m)
-                if moved:
-                    landed = m.contents()
-                    view = self._succ_reach[nid]
-                    for k in moved:
-                        view[k] = landed[k]
+                self._succ_reach[nid].update(merge_contents(n, m))
             finally:
                 # Parent before child, on every exit path.
                 held = self._held_list()
@@ -277,6 +273,14 @@ class MulticopyStructure:
                 if m_id is not None and m_id in held:
                     self._release(m_id)
             nid = m_id
+
+    def _unrouted_keys(self, n: NodeHandle) -> frozenset[Key]:
+        # Every sink of a list owns the whole keyspace, so they all share one
+        # frozenset, built on the first allocation rather than at creation.
+        if self._all_keys is None:
+            self._all_keys = frozenset(range(self.keyspace_size))
+        routed = n.routed_keys()
+        return self._all_keys - routed if routed else self._all_keys
 
     def _register(self, m: NodeHandle) -> None:
         # Plain dict stores: assignment is atomic and ids are never reused,
@@ -307,7 +311,7 @@ class MulticopyStructure:
 
 
 class LsmStructure(MulticopyStructure):
-    """Log-structured instance: in-memory root buffer, sorted-table tail.
+    """Log-structured instance: a small root over a tail of tables.
 
     Starts as a lone root; flushing a full root grows the first table, and
     each cascade step can grow the next, capacities scaling by

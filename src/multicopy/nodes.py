@@ -1,26 +1,25 @@
-"""Node backends: the two concrete layouts a structure's nodes can use.
+"""Nodes: one record store per node, a plain insertion-ordered dict.
 
-A RootBuffer is the writable in-memory node: an unsorted array that grows at
-one end, with at most one live record per key. Overwrites leave the old slot
-dead; dead slots get squeezed out in place when an append would overflow the
-array but the live count still fits. Capacity bounds live records, so an
-overwrite never fails even at a full root.
-
-A SortedTable is everything else: records sorted by key, binary searched,
-never touched outside a merge (both participants locked by the caller).
+Every node keeps its live records in a dict from key to TimedValue, so a
+lookup is one dict probe and a key holds at most one copy per node. The
+node's kind is only its role: the ROOT_BUFFER is the one node that accepts
+writes (add_contents), and a SORTED_TABLE only changes through merges. A
+table's sorted order is a view computed on request (live_keys); nothing
+keeps it sorted in place. Capacity bounds live records, so an overwrite
+never fails even at a full root.
 
 The move between nodes is merge_contents: pick the source's live keys that
 the connecting edge owns, in key order, as long as the target keeps fitting
-(a key the target already holds is an overwrite and costs no slot), then move
-those records. The source side forgets exactly the moved keys and the target
-adopts the source's copies, so the newest copy of every key among the two
-nodes is preserved.
+(a key the target already holds is an overwrite and costs no room), then
+move those records. The source side forgets exactly the moved keys and the
+target adopts the source's copies, so the newest copy of every key among the
+two nodes is preserved. The cost is linear in the source and the moved
+records, never in the edgeset or the target.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
 from typing import Literal, Optional
 
 from .core import (
@@ -66,24 +65,13 @@ class NodeHandle:
         self.kind = kind
         self.capacity = capacity
         self.succ_edgesets: dict[NodeId, frozenset[Key]] = {}
-        if kind == ROOT_BUFFER:
-            self._slots: list[tuple[Key, TimedValue]] = []
-            self._live: dict[Key, int] = {}
-        else:
-            self._keys: list[Key] = []
-            self._tvs: list[TimedValue] = []
-        for k, tv in sorted((entries or {}).items()):
-            self._force_set(k, tv)
+        self._records: NodeContents = dict(entries or {})
 
     # --- record access ---------------------------------------------------
 
     def in_contents(self, key: Key) -> Optional[TimedValue]:
         """The node's own copy of key, None if it holds none."""
-        if self.kind == ROOT_BUFFER:
-            i = self._live.get(key)
-            return self._slots[i][1] if i is not None else None
-        i = self._table_index(key)
-        return self._tvs[i] if i is not None else None
+        return self._records.get(key)
 
     def find_next(self, key: Key) -> Optional[NodeId]:
         """Successor to continue a traversal at, None at the end of the line.
@@ -102,20 +90,14 @@ class NodeHandle:
         return found
 
     def live_count(self) -> int:
-        if self.kind == ROOT_BUFFER:
-            return len(self._live)
-        return len(self._keys)
+        return len(self._records)
 
     def live_keys(self) -> list[Key]:
-        if self.kind == ROOT_BUFFER:
-            return sorted(self._live)
-        return list(self._keys)
+        return sorted(self._records)
 
     def contents(self) -> NodeContents:
         """Copy of the live records."""
-        if self.kind == ROOT_BUFFER:
-            return {k: self._slots[i][1] for k, i in self._live.items()}
-        return dict(zip(self._keys, self._tvs))
+        return dict(self._records)
 
     def at_capacity(self) -> bool:
         return self.capacity is not None and self.live_count() >= self.capacity
@@ -123,61 +105,17 @@ class NodeHandle:
     # --- writes ------------------------------------------------------------
 
     def add_contents(self, key: Key, value: Value, ts: Timestamp) -> bool:
-        """Append a fresh copy; False when a full node would need a new slot.
+        """Write a fresh copy; False when a full node would need a new record.
 
-        Only the RootBuffer accepts writes; tables change through merges.
+        Only the root buffer accepts writes; tables change through merges.
         """
         if self.kind != ROOT_BUFFER:
             raise MulticopyError("add_contents requires a root buffer node")
-        if key in self._live:
-            # Overwrite: retire the old slot, then append as usual.
-            del self._live[key]
-        elif self.capacity is not None and len(self._live) >= self.capacity:
+        recs = self._records
+        if key not in recs and self.capacity is not None and len(recs) >= self.capacity:
             return False
-        if self.capacity is not None and len(self._slots) >= self.capacity:
-            self._squeeze()
-        self._slots.append((key, TimedValue(value, ts)))
-        self._live[key] = len(self._slots) - 1
+        recs[key] = TimedValue(value, ts)
         return True
-
-    def _squeeze(self) -> None:
-        # Drop dead slots, preserving insertion order of the live ones.
-        live_idx = sorted(self._live.values())
-        self._slots = [self._slots[i] for i in live_idx]
-        self._live = {k: j for j, (k, _) in enumerate(self._slots)}
-
-    def _force_set(self, key: Key, tv: TimedValue) -> None:
-        # Used by construction and merges; bypasses the capacity gate, the
-        # caller is responsible for having counted slots.
-        if self.kind == ROOT_BUFFER:
-            if key in self._live:
-                del self._live[key]
-            self._slots.append((key, tv))
-            self._live[key] = len(self._slots) - 1
-        else:
-            i = self._table_index(key)
-            if i is not None:
-                self._tvs[i] = tv
-            else:
-                j = bisect_left(self._keys, key)
-                self._keys.insert(j, key)
-                self._tvs.insert(j, tv)
-
-    def _remove(self, key: Key) -> None:
-        if self.kind == ROOT_BUFFER:
-            del self._live[key]
-        else:
-            i = self._table_index(key)
-            if i is None:
-                raise MulticopyError(f"node {self.id} holds no record for key {key}")
-            del self._keys[i]
-            del self._tvs[i]
-
-    def _table_index(self, key: Key) -> Optional[int]:
-        i = bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return i
-        return None
 
     # --- compaction policy ---------------------------------------------------
 
@@ -185,10 +123,10 @@ class NodeHandle:
         """Successor to merge into: the one whose edgeset covers the most
         live keys, ties broken by smaller id. None when no edgeset touches
         any live key, i.e. a new node is needed."""
-        live = set(self.live_keys())
         best: Optional[tuple[int, NodeId]] = None
         for m, ks in self.succ_edgesets.items():
-            cov = len(live & ks)
+            # Walks the records, not the edgeset; see merge_contents.
+            cov = len(ks.intersection(self._records))
             if cov == 0:
                 continue
             if best is None or (-cov, m) < best:
@@ -209,7 +147,7 @@ class NodeHandle:
 
 
 def alloc_node(capacity: Optional[int]) -> NodeHandle:
-    """Fresh, empty, unlinked sorted table with a process-unique id."""
+    """Fresh, empty, unlinked table with a process-unique id."""
     return NodeHandle(fresh_node_id(), SORTED_TABLE, capacity)
 
 
@@ -231,28 +169,28 @@ def insert_node(n: NodeHandle, m: NodeHandle, keys: frozenset[Key]) -> None:
     n.succ_edgesets[m.id] = frozenset(keys)
 
 
-def merge_contents(n: NodeHandle, m: NodeHandle) -> set[Key]:
-    """Move records down the edge n->m; returns the set of moved keys.
+def merge_contents(n: NodeHandle, m: NodeHandle) -> NodeContents:
+    """Move records down the edge n->m; returns the moved copies by key.
 
     Candidates are n's live keys owned by the edge, taken in key order while
-    m has room (overwrites are free). Power cut here is impossible, this is
-    memory, so the move is remove-then-set per key under the caller's locks.
+    m has room (overwrites are free; a key that does not fit is skipped and
+    the scan goes on). The caller holds both nodes' locks.
     """
     if m.kind != SORTED_TABLE:
         raise MulticopyError("merge target must be a sorted table")
     es = n.succ_edgesets.get(m.id)
     if es is None:
         raise MulticopyError(f"no edge {n.id}->{m.id} to merge along")
-    src = n.contents()
-    room = None if m.capacity is None else m.capacity - m.live_count()
-    moved: set[Key] = set()
-    for k in sorted(src.keys() & es):
-        cost = 0 if m.in_contents(k) is not None else 1
-        if room is not None:
-            if cost > room:
+    src, dst = n._records, m._records
+    room = None if m.capacity is None else m.capacity - len(dst)
+    moved: NodeContents = {}
+    # es.intersection(src) walks src. The reverse, src.keys() & es, walks
+    # the whole frozenset (CPython only swaps the operands for a plain
+    # set), which is the full keyspace on a fresh sink's edge.
+    for k in sorted(es.intersection(src)):
+        if room is not None and k not in dst:
+            if room == 0:
                 continue
-            room -= cost
-        n._remove(k)
-        m._force_set(k, src[k])
-        moved.add(k)
+            room -= 1
+        moved[k] = dst[k] = src.pop(k)
     return moved

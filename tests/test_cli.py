@@ -72,6 +72,25 @@ def test_check_missing_file_fails_cleanly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "snapshot, reason",
+    [
+        ('{"nodes": [0]}', "missing field 'keyspace_size'"),
+        ('{"keyspace_size": 4, "nodes": [0]}', "missing field 'root'"),
+        ("[0]", "expected a JSON object"),
+        ("garbage", "not JSON"),
+    ],
+)
+def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reason):
+    snap = tmp_path / "s.json"
+    trace = tmp_path / "t.jsonl"
+    snap.write_text(snapshot)
+    trace.write_text(json.dumps({"keyspace_size": 4}) + "\n")
+    assert main(["check", str(snap), str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed snapshot: " + reason)
+
+
 def test_stress_json_output(capsys):
     rc = main(STRESS_SMALL + ["--json"])
     obj = json.loads(capsys.readouterr().out)

@@ -42,14 +42,18 @@ def test_buffer_add_and_overwrite():
     assert b.contents() == {3: TimedValue(8, 2), 1: TimedValue(2, 5)}
 
 
-def test_buffer_squeeze_keeps_slot_array_bounded():
+def test_full_buffer_accepts_overwrites_and_stays_bounded():
     b = buffer(capacity=3)
     for ts in range(1, 40):
+        # Every write after the third lands at a full root; all overwrite.
         assert b.add_contents(ts % 3, ts, ts)
-        assert len(b._slots) <= 3  # dead slots must not accumulate
+        assert b.live_count() <= 3
+    assert b.at_capacity() and b.live_count() == 3
+    assert not b.add_contents(3, 0, 40)
     assert b.live_count() == 3
     assert b.in_contents(0) == TimedValue(39, 39)
     assert b.in_contents(2) == TimedValue(38, 38)
+    assert b.in_contents(3) is None
 
 
 def test_buffer_capacity_bounds_live_records_not_writes():
@@ -144,7 +148,7 @@ def test_merge_moves_edge_keys_and_overwrites_for_free():
     insert_node(n, m, frozenset({0, 1, 2, 3}))
     # Room for one new record. Key order: k0 takes the slot, k1 overwrites
     # for free, k2 is skipped.
-    assert merge_contents(n, m) == {0, 1}
+    assert set(merge_contents(n, m)) == {0, 1}
     assert n.contents() == {2: TimedValue(12, 7)}
     assert m.contents() == {
         0: TimedValue(10, 5), 1: TimedValue(11, 6), 3: TimedValue(3, 2),
@@ -155,7 +159,7 @@ def test_merge_into_full_target_moves_nothing_new():
     n = buffer(1, entries={0: TimedValue(1, 3)})
     m = table(2, capacity=1, entries={5: TimedValue(2, 1)})
     insert_node(n, m, frozenset({0, 5}))
-    assert merge_contents(n, m) == set()
+    assert set(merge_contents(n, m)) == set()
     assert n.live_count() == 1 and m.live_count() == 1
 
 
@@ -163,7 +167,7 @@ def test_merge_ignores_keys_outside_the_edge():
     n = buffer(1, entries={0: TimedValue(1, 1), 1: TimedValue(2, 2)})
     m = table(2, capacity=8)
     insert_node(n, m, frozenset({1}))
-    assert merge_contents(n, m) == {1}
+    assert set(merge_contents(n, m)) == {1}
     assert n.contents() == {0: TimedValue(1, 1)}
 
 
@@ -183,35 +187,49 @@ def expected_merge(src, dst, es, cap):
     return moved, new_src, new_dst
 
 
-def test_merge_matches_dict_oracle_on_random_pairs():
-    for seed in range(200):
-        rng = random.Random(seed)
-        keyspace = rng.randint(1, 10)
-        src = {
-            k: TimedValue(rng.randrange(50), 100 + k)
-            for k in range(keyspace) if rng.random() < 0.6
-        }
-        dst = {
-            k: TimedValue(rng.randrange(50), 1 + k)
-            for k in range(keyspace) if rng.random() < 0.4
-        }
+def random_merge_case(rng, keyspace):
+    src = {
+        k: TimedValue(rng.randrange(50), 1000 + k)
+        for k in range(keyspace) if rng.random() < 0.6
+    }
+    dst = {
+        k: TimedValue(rng.randrange(50), 1 + k)
+        for k in range(keyspace) if rng.random() < 0.4
+    }
+    if rng.random() < 0.3:
+        es = frozenset(range(keyspace))
+    else:
         es = frozenset(k for k in range(keyspace) if rng.random() < 0.7)
-        cap = rng.choice(
-            [None, max(1, len(dst)), len(dst) + 1, len(dst) + 3, 10]
-        )
+    cap = rng.choice([
+        None, max(1, len(dst)), len(dst) + 1, len(dst) + 3,
+        max(1, len(dst) + rng.randint(0, len(src) // 2)), keyspace,
+    ])
+    return src, dst, es, cap
+
+
+def test_merge_matches_dict_oracle_on_random_pairs():
+    for seed in range(400):
+        rng = random.Random(seed)
+        keyspace = rng.randint(1, 10) if seed < 200 else rng.randint(1, 400)
+        src, dst, es, cap = random_merge_case(rng, keyspace)
         if not es:
             continue
-        n = buffer(1, capacity=None, entries=src)
+        if seed % 2:
+            n = buffer(1, capacity=None, entries=src)
+        else:
+            n = table(1, capacity=None, entries=src)  # table -> table
         m = table(2, capacity=cap, entries=dst)
         insert_node(n, m, es)
         moved = merge_contents(n, m)
         want_moved, want_src, want_dst = expected_merge(src, dst, es, cap)
-        assert moved == want_moved, f"seed {seed}"
+        assert set(moved) == want_moved, f"seed {seed}"
+        # The returned copies are exactly the source's copies of those keys.
+        assert moved == {k: src[k] for k in want_moved}, f"seed {seed}"
         assert n.contents() == want_src, f"seed {seed}"
         assert m.contents() == want_dst, f"seed {seed}"
         # The pair keeps every key it had, and moved keys keep the source
         # copy, which is the newer one whenever timestamps respect the
-        # downstream-older rule (source ts 100+ vs target ts 1+ here).
+        # downstream-older rule (source ts 1000+ vs target ts 1+ here).
         assert set(n.contents()) | set(m.contents()) == set(src) | set(dst)
         for k in moved:
             assert m.in_contents(k) == src[k]
@@ -221,5 +239,5 @@ def test_merge_preserves_tombstone_records():
     n = buffer(1, entries={0: TimedValue(TOMBSTONE, 9)})
     m = table(2, capacity=4, entries={0: TimedValue(7, 1)})
     insert_node(n, m, frozenset({0}))
-    assert merge_contents(n, m) == {0}
+    assert set(merge_contents(n, m)) == {0}
     assert m.in_contents(0) == TimedValue(TOMBSTONE, 9)
