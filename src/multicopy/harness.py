@@ -2,12 +2,14 @@
 
 A run spawns worker threads that execute deterministic per-thread op streams
 (derived from the seed) against a fresh structure, while an optional
-maintenance thread flushes periodically. Every search is checked online
-against the history the moment it returns. At configurable points the
-harness pauses all participants at a gate (workers park between operations,
-so nobody holds node locks), snapshots the structure, runs the full
-invariant suite plus cross-snapshot monotonicity, and resumes. At the end
-the recorded trace must linearize.
+maintenance thread flushes periodically and whenever a writer finds the
+root full. Every search is checked online against the history the moment it
+returns. Checkpoints are requested at their marks: the worker whose op
+completes every checkpoint_every * threads ops asks for a pause, all
+participants park at a gate (between operations, or while waiting holding
+no node lock), and the coordinating thread snapshots the structure, runs
+the full invariant suite plus cross-snapshot monotonicity, and resumes. At
+the end the recorded trace must linearize.
 
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
@@ -21,7 +23,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .checker import (
     CheckResult,
@@ -129,15 +131,39 @@ def generate_ops(config: WorkloadConfig, thread_id: int) -> list[tuple]:
 
 
 class PauseGate:
-    """Cooperative pause point. Workers poll it between operations; pause()
-    returns once every registered participant is parked, which is what makes
-    a checkpoint quiescent without touching any node lock."""
+    """Where the threads of a run meet, under one lock.
+
+    Participants (the workers and the flusher) are registered before their
+    threads start and deregister when they end. A participant parks at the
+    gate between operations (wait_if_paused), and also while it idles
+    holding no node lock: a writer waiting for a maintenance pass, or the
+    flusher waiting for work. pause() returns once every registered
+    participant is parked, which is what makes a checkpoint quiescent
+    without touching any node lock, and nobody leaves the gate until
+    resume().
+
+    A worker whose op reaches a checkpoint mark calls request_pause(); the
+    coordinating thread waits for that in next_checkpoint(). A writer that
+    finds the root full calls await_pass(), which wakes the flusher waiting
+    in await_work(); pass_done() wakes the writer.
+
+    Participants wait on one condition, so a pass request, a resume or
+    stop() wakes the flusher at once. The coordinating thread waits on a
+    second condition over the same lock, so that the handoffs between
+    writers and the flusher do not wake it.
+    """
 
     def __init__(self):
-        self._cond = threading.Condition()
+        lock = threading.Lock()
+        self._cond = threading.Condition(lock)  # participants wait here
+        self._coordinator = threading.Condition(lock)
         self._pausing = False
         self._active = 0
         self._paused = 0
+        self._requests = 0  # checkpoint marks reached and not yet taken
+        self._pass_wanted = False
+        self._passes = 0  # maintenance passes finished
+        self._stopped = False
 
     def register(self) -> None:
         with self._cond:
@@ -146,27 +172,86 @@ class PauseGate:
     def deregister(self) -> None:
         with self._cond:
             self._active -= 1
-            self._cond.notify_all()
+            self._coordinator.notify_all()
+
+    def _park(self, ready: Callable[[], bool], timeout: Optional[float]) -> None:
+        # Caller holds the condition and no node lock. Counts as parked until
+        # ready() holds or the timeout passes, and while a pause is pending.
+        self._paused += 1
+        if self._pausing:
+            self._coordinator.notify_all()
+        try:
+            self._cond.wait_for(ready, timeout)
+            while self._pausing:
+                self._cond.wait()
+        finally:
+            self._paused -= 1
 
     def wait_if_paused(self) -> None:
         with self._cond:
-            if not self._pausing:
-                return
-            self._paused += 1
-            self._cond.notify_all()
-            while self._pausing:
-                self._cond.wait()
-            self._paused -= 1
+            if self._pausing:
+                self._park(lambda: True, None)
 
     def pause(self) -> None:
         with self._cond:
             self._pausing = True
             while self._paused < self._active:
-                self._cond.wait()
+                self._coordinator.wait()
 
     def resume(self) -> None:
         with self._cond:
             self._pausing = False
+            self._cond.notify_all()
+
+    def request_pause(self) -> None:
+        """A checkpoint mark was reached: stop the workers at their next
+        wait_if_paused and wake the coordinator. Ignored after stop(), when
+        the coordinator may no longer be waiting for it."""
+        with self._cond:
+            if self._stopped:
+                return
+            self._requests += 1
+            self._pausing = True
+            self._coordinator.notify_all()
+
+    def next_checkpoint(self, background: int) -> bool:
+        """Wait until a checkpoint is requested (True), or until at most
+        `background` participants remain registered, e.g. the flusher
+        once every worker has ended (False)."""
+        with self._cond:
+            self._coordinator.wait_for(lambda: self._requests or self._active <= background)
+            if not self._requests:
+                return False
+            self._requests -= 1
+            return True
+
+    def await_pass(self, timeout: float) -> None:
+        """Ask the flusher for a maintenance pass and park until one ends,
+        for at most timeout seconds. Raises once the flusher has stopped."""
+        with self._cond:
+            seen = self._passes
+            self._pass_wanted = True
+            self._cond.notify_all()
+            self._park(lambda: self._passes != seen or self._stopped, timeout)
+            if self._stopped:
+                raise MulticopyError("the flusher has stopped; nothing makes room at the root")
+
+    def await_work(self, interval: float) -> bool:
+        """The flusher parks until a writer wants a pass or interval has
+        passed; False once stop() was called."""
+        with self._cond:
+            self._park(lambda: self._pass_wanted or self._stopped, interval)
+            self._pass_wanted = False
+            return not self._stopped
+
+    def pass_done(self) -> None:
+        with self._cond:
+            self._passes += 1
+            self._cond.notify_all()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
             self._cond.notify_all()
 
 
@@ -202,6 +287,9 @@ class StressReport:
     linearization: Optional[LinearizationResult] = None
     history_predicates: Optional[HistoryPredicateReport] = None
     final_nodes: int = 0
+    # Upserts that found the root full, and their time in the on_full hook.
+    root_full_waits: int = 0
+    root_full_wait_s: float = 0.0
     trace: Optional[Trace] = None
     snapshot: Optional[MulticopyGraph] = None
 
@@ -245,6 +333,8 @@ class StressReport:
                 "clock": self.history_predicates.clock_ok,
             },
             "final_nodes": self.final_nodes,
+            "root_full_waits": self.root_full_waits,
+            "root_full_wait_s": round(self.root_full_wait_s, 6),
         }
 
     def format_text(self) -> str:
@@ -255,6 +345,8 @@ class StressReport:
             f"({self.throughput:.0f} ops/s), {self.final_nodes} nodes at end",
             f"recency violations: {len(self.recency_violations)}",
             f"lock order violations: {len(self.lock_order_violations)}",
+            f"root-full waits: {self.root_full_waits} "
+            f"({self.root_full_wait_s * 1e3:.1f} ms in all)",
         ]
         for i, c in enumerate(self.checkpoints):
             lines.append(
@@ -311,15 +403,29 @@ def run_stress(
     mode, interval = _parse_maintenance(config.maintenance)
 
     if mode == "on-fail":
-        def on_full():
+        def make_room():
             gate.wait_if_paused()
             structure.maintenance_pass()
+    elif mode == "periodic":
+        def make_room():
+            gate.await_pass(interval)
     else:
-        def on_full():
-            # Someone else (or nobody) flushes; park if a checkpoint wants
-            # everyone quiet, otherwise give the flusher a moment.
-            gate.wait_if_paused()
-            time.sleep(2e-4)
+        def make_room():
+            raise MulticopyError(
+                f"root full with maintenance off: {config.root_capacity} root "
+                f"slots for a keyspace of {config.keyspace_size} keys, and "
+                "nothing moves copies out of the root"
+            )
+
+    full_lock = threading.Lock()
+
+    def on_full():
+        started = time.perf_counter()
+        make_room()
+        waited = time.perf_counter() - started
+        with full_lock:
+            report.root_full_waits += 1
+            report.root_full_wait_s += waited
 
     structure.set_on_root_full(on_full)
 
@@ -327,13 +433,17 @@ def run_stress(
     done = [0] * config.threads
     events_per_thread: list[list] = [[] for _ in range(config.threads)]
     violations_per_thread: list[list] = [[] for _ in range(config.threads)]
-    worker_errors: list[BaseException] = []
+    thread_errors: list[Exception] = []
+    # A checkpoint is requested by the worker whose op completes a mark;
+    # marks at or past the last op are left to the final checkpoint.
+    step = max(config.checkpoint_every, 0) * config.threads if checkpoints else 0
+    total = config.threads * config.ops_per_thread
+    completed = itertools.count(1)
 
     def worker(tid: int) -> None:
         ops = generate_ops(config, tid)
         events = events_per_thread[tid]
         violations = violations_per_thread[tid]
-        gate.register()
         try:
             for i, op in enumerate(ops):
                 gate.wait_if_paused()
@@ -374,21 +484,23 @@ def run_stress(
                             )
                         )
                 done[tid] = i + 1
-        except BaseException as e:  # surfaced after join; a worker must not die silently
-            worker_errors.append(e)
-            raise
+                if step:
+                    n = next(completed)
+                    if n % step == 0 and n < total:
+                        gate.request_pause()
+        except Exception as e:  # run_stress raises the first one after join
+            thread_errors.append(e)
         finally:
             gate.deregister()
 
-    stop_flusher = threading.Event()
-
     def flusher() -> None:
-        gate.register()
         try:
-            while not stop_flusher.is_set():
-                gate.wait_if_paused()
+            while gate.await_work(interval):
                 structure.maintenance_pass()
-                stop_flusher.wait(interval)
+                gate.pass_done()
+        except Exception as e:
+            thread_errors.append(e)
+            gate.stop()  # so that writers waiting for room fail, not wait forever
         finally:
             gate.deregister()
 
@@ -419,27 +531,29 @@ def run_stress(
                 gate.resume()
 
     started = time.monotonic()
-    for t in threads:
+    participants = threads + ([flusher_thread] if flusher_thread else [])
+    background = len(participants) - len(threads)
+    for _ in participants:
+        # Before any thread starts, so that no pause and no wait for a
+        # checkpoint can miss a participant that has not run yet.
+        gate.register()
+    for t in participants:
         t.start()
-    if flusher_thread:
-        flusher_thread.start()
-
-    if checkpoints and config.checkpoint_every > 0:
-        mark = config.checkpoint_every * config.threads
-        while any(t.is_alive() for t in threads):
-            time.sleep(0.001)
-            if sum(done) >= mark:
-                take_checkpoint(quiesce=True)
-                mark += config.checkpoint_every * config.threads
-    for t in threads:
-        t.join()
-    if flusher_thread:
-        stop_flusher.set()
-        flusher_thread.join()
+    try:
+        while gate.next_checkpoint(background):
+            take_checkpoint(quiesce=True)
+    finally:
+        # Only a check that raised gets here with workers left: they finish
+        # unchecked, so that none stays parked at a pause nobody takes.
+        while gate.next_checkpoint(background):
+            gate.resume()
+        gate.stop()
+        for t in participants:
+            t.join()
     report.duration_s = time.monotonic() - started
 
-    if worker_errors:
-        raise worker_errors[0]
+    if thread_errors:
+        raise thread_errors[0]
 
     if checkpoints:
         take_checkpoint(quiesce=False)

@@ -26,6 +26,7 @@ from .core import (
     TOMBSTONE,
     HistoryCorruptionError,
     Key,
+    MulticopyError,
     TimedValue,
     Timestamp,
     Value,
@@ -299,18 +300,26 @@ class Trace:
 
     @classmethod
     def load(cls, path: str) -> "Trace":
+        """Read a trace written by dump; a malformed line raises
+        MulticopyError naming the line."""
         events: list[TraceEvent] = []
         keyspace_size = None
         with open(path) as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
-                if "op" not in obj:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise MulticopyError(f"malformed trace: not JSON ({e}) at line {n}") from None
+                if isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj:
                     keyspace_size = obj["keyspace_size"]
                     continue
-                events.append(event_from_json(obj))
+                try:
+                    events.append(event_from_json(obj))
+                except MulticopyError as e:
+                    raise MulticopyError(f"{e} at line {n}") from None
         if keyspace_size is None:
             # Tolerate headerless traces; infer a bound from the events.
             keyspace_size = 1 + max((e.key for e in events), default=0)
@@ -330,25 +339,31 @@ class Trace:
         return h, clock
 
 
-def event_from_json(obj: dict) -> TraceEvent:
-    if obj["op"] == "search":
-        return SearchEvent(
-            thread=obj["thread"],
-            key=obj["key"],
-            value=_decode_value(obj["value"]),
-            t0=obj["t0"],
-            tp=obj["tp"],
-            snap=obj["snap"],
-            inv=obj["inv"],
-            resp=obj["resp"],
-        )
-    if obj["op"] == "upsert":
-        return UpsertEvent(
-            thread=obj["thread"],
-            key=obj["key"],
-            value=_decode_value(obj["value"]),
-            ts=obj["ts"],
-            inv=obj["inv"],
-            resp=obj["resp"],
-        )
-    raise ValueError(f"unknown trace op {obj['op']!r}")
+def event_from_json(obj: object) -> TraceEvent:
+    """Rebuild one trace event; a malformed one raises MulticopyError."""
+    if not isinstance(obj, dict):
+        raise MulticopyError("malformed trace: expected a JSON object")
+    try:
+        if obj["op"] == "search":
+            return SearchEvent(
+                thread=obj["thread"],
+                key=obj["key"],
+                value=_decode_value(obj["value"]),
+                t0=obj["t0"],
+                tp=obj["tp"],
+                snap=obj["snap"],
+                inv=obj["inv"],
+                resp=obj["resp"],
+            )
+        if obj["op"] == "upsert":
+            return UpsertEvent(
+                thread=obj["thread"],
+                key=obj["key"],
+                value=_decode_value(obj["value"]),
+                ts=obj["ts"],
+                inv=obj["inv"],
+                resp=obj["resp"],
+            )
+    except KeyError as e:
+        raise MulticopyError(f"malformed trace: missing field {e.args[0]!r}") from None
+    raise MulticopyError(f"malformed trace: unknown op {obj['op']!r}")

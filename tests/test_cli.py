@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -91,6 +92,29 @@ def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reas
     assert err.startswith("error: malformed snapshot: " + reason)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"op": "search"}', "missing field 'thread'"),
+        ("[1]", "expected a JSON object"),
+        ('{"op": "compact"}', "unknown op 'compact'"),
+        ("garbage", "not JSON"),
+    ],
+)
+def test_check_malformed_trace_fails_cleanly(tmp_path, capsys, line, reason):
+    trace = tmp_path / "t.jsonl"
+    snap = str(tmp_path / "s.json")
+    assert main(STRESS_SMALL + ["--trace-out", str(trace), "--snapshot-out", snap]) == 0
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    lines[1] = line
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", snap, str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed trace: " + reason)
+    assert err.rstrip().endswith("at line 2")
+
+
 def test_stress_json_output(capsys):
     rc = main(STRESS_SMALL + ["--json"])
     obj = json.loads(capsys.readouterr().out)
@@ -98,6 +122,21 @@ def test_stress_json_output(capsys):
     assert obj["ok"] is True
     assert obj["total_ops"] == 240
     assert obj["config"]["seed"] == 3
+    assert obj["root_full_waits"] >= 0 and obj["root_full_wait_s"] >= 0
+
+
+def test_stress_with_maintenance_off_and_a_full_root_fails_fast(capfd):
+    started = time.monotonic()
+    rc = main(["stress", "--maintenance", "off"])  # root 8 under 64 keys
+    assert time.monotonic() - started < 1
+    assert rc == 1
+    err = capfd.readouterr().err
+    # One line for the run, not a traceback per failed worker thread.
+    assert "Exception in thread" not in err and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: root full with maintenance off: 8 root slots")
+    assert "64 keys" in errors[0]
 
 
 def test_bench_subcommand(capsys):

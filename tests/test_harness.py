@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from multicopy.harness import (
     generate_ops,
     run_stress,
 )
+from multicopy.lsm import LsmStructure
 
 
 def small_config(**kw):
@@ -118,10 +120,62 @@ def test_stress_run_reports_clean_and_complete():
     assert "result: OK" in report.format_text()
 
 
+@pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_checkpoints_are_taken_at_their_marks(threads, maintenance):
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often, to shake out races
+    try:
+        for seed in range(10):
+            # 150 ops a thread puts the last mark on the final op; 160 does not.
+            cfg = small_config(
+                threads=threads, maintenance=maintenance, seed=seed,
+                root_capacity=4, ops_per_thread=150 if seed % 2 else 160,
+            )
+            report = run_stress(cfg)
+            assert report.ok, report.format_text()
+            total = threads * cfg.ops_per_thread
+            step = threads * cfg.checkpoint_every
+            marks = list(range(step, total, step))
+            assert len(report.checkpoints) == len(marks) + 1
+            ops_done = [c.ops_done for c in report.checkpoints]
+            assert ops_done[-1] == total
+            assert ops_done == sorted(ops_done)
+            if threads == 1:
+                assert ops_done[:-1] == marks
+            else:
+                # Other workers may run on until they see the pause.
+                assert all(m <= d for m, d in zip(marks, ops_done))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_full_root_wakes_the_flusher_instead_of_waiting_out_its_interval():
+    started = time.monotonic()
+    report = run_stress(small_config(maintenance="periodic:1000", root_capacity=4))
+    assert time.monotonic() - started < 1
+    assert report.ok, report.format_text()
+    assert len(report.checkpoints) == 3
+    assert report.final_nodes > 1
+
+
+def test_a_failed_flusher_fails_the_run_instead_of_hanging_it(monkeypatch, capfd):
+    def broken_pass(self):
+        raise RuntimeError("pass failed")
+
+    monkeypatch.setattr(LsmStructure, "maintenance_pass", broken_pass)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="pass failed"):
+        run_stress(small_config(root_capacity=4))
+    assert time.monotonic() - started < 1
+    assert "Exception in thread" not in capfd.readouterr().err
+
+
 def test_stress_on_fail_maintenance_grows_the_structure():
     report = run_stress(small_config(maintenance="on-fail", root_capacity=4))
     assert report.ok, report.format_text()
     assert report.final_nodes > 1
+    assert report.root_full_waits > 0 and report.root_full_wait_s > 0
 
 
 def test_stress_maintenance_off_never_flushes():

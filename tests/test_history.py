@@ -191,7 +191,7 @@ def test_trace_wire_format_is_stable(tmp_path):
     assert set(upsert) == {"op", "thread", "key", "value", "ts", "inv", "resp"}
     assert upsert["value"] is None  # tombstones travel as null
     assert event_from_json(search) == t.events[1]
-    with pytest.raises(ValueError):
+    with pytest.raises(MulticopyError, match="unknown op 'compact'"):
         event_from_json({"op": "compact"})
 
 
