@@ -33,7 +33,6 @@ from .graph import (
     contents_in_reach,
     derive_succ_reach,
     flow_residuals,
-    inset,
     inset_map,
     load_graph,
     local_reach,
@@ -73,7 +72,6 @@ __all__ = [
     "contents_in_reach",
     "derive_succ_reach",
     "flow_residuals",
-    "inset",
     "inset_map",
     "insert_node",
     "linearize",

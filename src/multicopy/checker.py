@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import INITIAL, TOMBSTONE, Timestamp
+from .core import INITIAL, TOMBSTONE, Timestamp, check_key
 from .graph import (
     MulticopyGraph,
     compute_flow,
@@ -100,73 +100,58 @@ def _cap(ws: list[dict]) -> list[dict]:
     return ws[:WITNESS_CAP]
 
 
+# Every entry of a check_invariants report, in report order.
+CHECKS = [
+    ("acyclic", "node graph is a DAG"),
+    ("edgesets_disjoint", "outgoing edgesets of each node are pairwise disjoint"),
+    ("endpoints_valid", "root and edge endpoints are nodes of the graph"),
+    ("inv1_logical_matches_reach", "history max-ts map equals reach of root"),
+    ("inv3_contents_in_history", "every stored copy appears in the history"),
+    ("inv4_ts_below_clock", "every logged timestamp is below the clock"),
+    ("inv6_downstream_older", "copies get older when moving down an edge"),
+    ("inv7_reach_within_inset", "reachable keys of a node lie in its inset"),
+    ("inv8_pred_insets_disjoint", "shared edge keys are in at most one predecessor inset"),
+    ("flow_local_edges", "recorded handed-down keys are routed by some edge"),
+    ("flow_reach_agree", "incoming copy flow matches the local reach view"),
+    ("flow_time_order", "handed-down copy is never newer than the local view"),
+    ("flow_inset_cover", "locally visible keys are covered by the inset flow"),
+    ("flow_inset_unique", "inset flow multiplicity is at most one"),
+    ("floweqn_cir_residual", "copy flow satisfies its flow equation"),
+    ("floweqn_inset_residual", "inset flow satisfies its flow equation"),
+    ("inset_flow_matches_inset", "inset flow support equals set-propagated insets"),
+    ("local_vs_recursive_reach", "local reach view equals recursive reach"),
+]
+_LABELS = dict(CHECKS)
+
+
 def check_invariants(
     g: MulticopyGraph, h: UpsertHistory, clock: Timestamp
 ) -> InvariantReport:
     """Full single-snapshot suite. Requires that g, h and clock were taken
-    together at quiescence; nothing here locks anything."""
+    together at quiescence; nothing here locks anything.
+
+    Each check tests the stored copies first and sorts only its failures,
+    so its cost follows the copies and succ_reach records, not the keyspace.
+    Witnesses come out in the order a sorted walk would find them."""
     report = InvariantReport()
-    add = report.entries.append
+
+    def add(check_id: str, ws: list[dict]) -> CheckResult:
+        result = CheckResult(
+            check_id, _LABELS[check_id], passed=not ws, witnesses=_cap(ws)
+        )
+        report.entries.append(result)
+        return result
 
     issues = structural_issues(g)
-    cyclic = any(i["kind"] == "cycle" for i in issues)
-    add(
-        CheckResult(
-            "acyclic",
-            "node graph is a DAG",
-            passed=not cyclic,
-            witnesses=[i for i in issues if i["kind"] == "cycle"],
-        )
-    )
-    overlap = [i for i in issues if i["kind"] == "edgeset_overlap"]
-    add(
-        CheckResult(
-            "edgesets_disjoint",
-            "outgoing edgesets of each node are pairwise disjoint",
-            passed=not overlap,
-            witnesses=_cap(overlap),
-        )
-    )
-    other = [
-        i for i in issues if i["kind"] not in ("cycle", "edgeset_overlap")
-    ]
-    add(
-        CheckResult(
-            "endpoints_valid",
-            "root and edge endpoints are nodes of the graph",
-            passed=not other,
-            witnesses=_cap(other),
-        )
-    )
+    cyclic = [i for i in issues if i["kind"] == "cycle"]
+    add("acyclic", cyclic)
+    add("edgesets_disjoint", [i for i in issues if i["kind"] == "edgeset_overlap"])
+    other = [i for i in issues if i["kind"] not in ("cycle", "edgeset_overlap")]
+    add("endpoints_valid", other)
 
     if cyclic or other:
-        skip_ids = [
-            ("inv1_logical_matches_reach", "history max-ts map equals reach of root"),
-            ("inv3_contents_in_history", "every stored copy appears in the history"),
-            ("inv4_ts_below_clock", "every logged timestamp is below the clock"),
-            ("inv6_downstream_older", "copies get older when moving down an edge"),
-            ("inv7_reach_within_inset", "reachable keys of a node lie in its inset"),
-            ("inv8_pred_insets_disjoint", "shared edge keys are in at most one predecessor inset"),
-            ("flow_local_edges", "recorded handed-down keys are routed by some edge"),
-            ("flow_reach_agree", "incoming copy flow matches the local reach view"),
-            ("flow_time_order", "handed-down copy is never newer than the local view"),
-            ("flow_inset_cover", "locally visible keys are covered by the inset flow"),
-            ("flow_inset_unique", "inset flow multiplicity is at most one"),
-            ("floweqn_cir_residual", "copy flow satisfies its flow equation"),
-            ("floweqn_inset_residual", "inset flow satisfies its flow equation"),
-            ("inset_flow_matches_inset", "inset flow support equals set-propagated insets"),
-            ("local_vs_recursive_reach", "local reach view equals recursive reach"),
-        ]
-        for cid, label in skip_ids:
-            add(
-                CheckResult(
-                    cid,
-                    label,
-                    passed=False,
-                    witnesses=[{"not_evaluated": "structure checks failed"}],
-                    skipped=False,
-                )
-            )
+        for check_id, _ in CHECKS[3:]:
+            add(check_id, [{"not_evaluated": "structure checks failed"}])
         return report
 
     reach = reach_maps(g)
@@ -174,100 +159,74 @@ def check_invariants(
     cir_flow = compute_flow(g, "cir")
     inset_flow = compute_flow(g, "inset")
     root_reach = reach[g.root]
+    nodes = sorted(g.nodes)
 
-    # Inv1: the logical map told by the history equals the root's reach.
+    # Inv1: the logical map told by the history equals the root's reach. A
+    # key that neither holds is INITIAL on both sides, so only held keys are
+    # compared. A history narrower than the keyspace is rejected as max_ts
+    # rejects a key outside it.
+    if g.keyspace_size > h.keyspace_size:
+        check_key(h.keyspace_size, h.keyspace_size)
+    newest = {k: (v, t) for k, v, t in h.entries()}
+    never = (INITIAL.value, INITIAL.ts)
     ws = []
-    for k in range(g.keyspace_size):
-        logical = h.max_ts(k)
-        reached = root_reach.get(k, INITIAL)
-        if logical != reached:
-            ws.append(
-                {
-                    "key": k,
-                    "history": [_enc(logical.value), logical.ts],
-                    "reach": [_enc(reached.value), reached.ts],
-                }
-            )
-    add(
-        CheckResult(
-            "inv1_logical_matches_reach",
-            "history max-ts map equals reach of root",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
-    )
+    for k in newest.keys() | root_reach.keys():
+        if 0 <= k < g.keyspace_size:
+            logical, reached = newest.get(k, never), root_reach.get(k, INITIAL)
+            if logical != (reached.value, reached.ts):
+                ws.append(
+                    {
+                        "key": k,
+                        "history": [_enc(logical[0]), logical[1]],
+                        "reach": [_enc(reached.value), reached.ts],
+                    }
+                )
+    ws.sort(key=lambda w: w["key"])
+    add("inv1_logical_matches_reach", ws)
 
     # Inv3: no node invents copies that were never upserted.
     ws = []
-    for n in sorted(g.nodes):
-        for k, tv in sorted(g.node_contents(n).items()):
-            if not h.contains(k, tv.value, tv.ts):
-                ws.append({"node": n, "key": k, "copy": [_enc(tv.value), tv.ts]})
-    add(
-        CheckResult(
-            "inv3_contents_in_history",
-            "every stored copy appears in the history",
-            passed=not ws,
-            witnesses=_cap(ws),
+    for n in nodes:
+        bad = [
+            (k, tv)
+            for k, tv in g.node_contents(n).items()
+            if not h.contains(k, tv.value, tv.ts)
+        ]
+        ws += (
+            {"node": n, "key": k, "copy": [_enc(tv.value), tv.ts]}
+            for k, tv in sorted(bad)
         )
-    )
+    add("inv3_contents_in_history", ws)
 
     # Inv4: the clock is ahead of everything logged.
-    ws = [
-        {"ts": t, "key": k, "clock": clock}
-        for k, v, t in h.entries()
-        if t >= clock
-    ]
     add(
-        CheckResult(
-            "inv4_ts_below_clock",
-            "every logged timestamp is below the clock",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
+        "inv4_ts_below_clock",
+        [{"ts": t, "key": k, "clock": clock} for k, v, t in h.entries() if t >= clock],
     )
 
     # Inv6: along an edge owning k, the downstream reach is not newer than
     # the upstream copy. This is what makes the first copy found correct.
     ws = []
     for n, m, ks in sorted(g.edges()):
-        cn = g.node_contents(n)
-        for k in sorted(ks):
-            if k in cn:
-                below = reach[m].get(k, INITIAL)
-                if below.ts > cn[k].ts:
-                    ws.append(
-                        {
-                            "node": n,
-                            "succ": m,
-                            "key": k,
-                            "upstream_ts": cn[k].ts,
-                            "downstream_ts": below.ts,
-                        }
-                    )
-    add(
-        CheckResult(
-            "inv6_downstream_older",
-            "copies get older when moving down an edge",
-            passed=not ws,
-            witnesses=_cap(ws),
+        cn, below = g.node_contents(n), reach[m]
+        bad = [k for k in ks.intersection(cn) if below.get(k, INITIAL).ts > cn[k].ts]
+        ws += (
+            {
+                "node": n,
+                "succ": m,
+                "key": k,
+                "upstream_ts": cn[k].ts,
+                "downstream_ts": below.get(k, INITIAL).ts,
+            }
+            for k in sorted(bad)
         )
-    )
+    add("inv6_downstream_older", ws)
 
     # Inv7: a node only has reachable copies for keys that can arrive there.
     ws = []
-    for n in sorted(g.nodes):
-        extra = set(reach[n]) - insets[n]
-        for k in sorted(extra):
-            ws.append({"node": n, "key": k})
-    add(
-        CheckResult(
-            "inv7_reach_within_inset",
-            "reachable keys of a node lie in its inset",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
-    )
+    for n in nodes:
+        ws += ({"node": n, "key": k} for k in sorted(set(reach[n]) - insets[n]))
+    add("inv7_reach_within_inset", ws)
 
     # Inv8: when two edges into the same node own the same key, at most one
     # of the two sources can actually be reached with that key.
@@ -275,7 +234,7 @@ def check_invariants(
     for n, m, _ in g.edges():
         preds[m].append(n)
     ws = []
-    for m in sorted(g.nodes):
+    for m in nodes:
         ps = sorted(preds[m])
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
@@ -284,128 +243,97 @@ def check_invariants(
                 bad = common & insets[a] & insets[b]
                 for k in sorted(bad):
                     ws.append({"node": m, "pred_a": a, "pred_b": b, "key": k})
-    add(
-        CheckResult(
-            "inv8_pred_insets_disjoint",
-            "shared edge keys are in at most one predecessor inset",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
-    )
+    add("inv8_pred_insets_disjoint", ws)
 
     # Flow condition 1: every recorded handed-down key has an outgoing edge.
     ws = []
-    for n in sorted(g.nodes):
-        routed = frozenset()
+    for n in nodes:
+        unrouted = set(g.node_succ_reach(n))
         for ks in g.successors(n).values():
-            routed |= ks
-        for k in sorted(set(g.node_succ_reach(n)) - routed):
-            ws.append({"node": n, "key": k})
-    phi1 = CheckResult(
-        "flow_local_edges",
-        "recorded handed-down keys are routed by some edge",
-        passed=not ws,
-        witnesses=_cap(ws),
-    )
-    add(phi1)
+            unrouted -= ks
+        ws += ({"node": n, "key": k} for k in sorted(unrouted))
+    phi1 = add("flow_local_edges", ws)
 
     # Flow condition 2: whatever copy flows into n, n's local view agrees.
     ws = []
     local = {n: local_reach(g, n) for n in g.nodes}
-    for n in sorted(g.nodes):
-        for (k, tv), cnt in sorted(
-            cir_flow[n].items(), key=lambda it: (it[0][0], it[0][1].ts)
-        ):
-            if cnt > 0 and local[n].get(k) != tv:
-                got = local[n].get(k)
-                ws.append(
-                    {
-                        "node": n,
-                        "key": k,
-                        "flowed": [_enc(tv.value), tv.ts],
-                        "local": None if got is None else [_enc(got.value), got.ts],
-                    }
-                )
-    phi2 = CheckResult(
-        "flow_reach_agree",
-        "incoming copy flow matches the local reach view",
-        passed=not ws,
-        witnesses=_cap(ws),
-    )
-    add(phi2)
+    for n in nodes:
+        view = local[n]
+        bad = [
+            (k, tv)
+            for (k, tv), cnt in cir_flow[n].items()
+            if cnt > 0 and (got := view.get(k)) is not tv and got != tv
+        ]
+        for k, tv in sorted(bad, key=lambda el: (el[0], el[1].ts)):
+            got = view.get(k)
+            ws.append(
+                {
+                    "node": n,
+                    "key": k,
+                    "flowed": [_enc(tv.value), tv.ts],
+                    "local": None if got is None else [_enc(got.value), got.ts],
+                }
+            )
+    phi2 = add("flow_reach_agree", ws)
 
     # Flow condition 3: handing a copy down never advances its time.
     ws = []
-    for n in sorted(g.nodes):
-        sr = g.node_succ_reach(n)
-        for k, tv in sorted(sr.items()):
-            mine = local[n].get(k, INITIAL)
-            if tv.ts > mine.ts:
-                ws.append(
-                    {"node": n, "key": k, "recorded_ts": tv.ts, "local_ts": mine.ts}
-                )
-    add(
-        CheckResult(
-            "flow_time_order",
-            "handed-down copy is never newer than the local view",
-            passed=not ws,
-            witnesses=_cap(ws),
+    for n in nodes:
+        view = local[n]
+        bad = [
+            (k, tv.ts, mine.ts)
+            for k, tv in g.node_succ_reach(n).items()
+            if tv.ts > (mine := view.get(k, INITIAL)).ts
+        ]
+        ws += (
+            {"node": n, "key": k, "recorded_ts": t, "local_ts": mine_ts}
+            for k, t, mine_ts in sorted(bad)
         )
-    )
+    add("flow_time_order", ws)
 
     # Flow condition 4: keys a node can see must be able to arrive there.
     ws = []
-    for n in sorted(g.nodes):
-        for k in sorted(local[n]):
-            if inset_flow[n].get(k, 0) <= 0:
-                ws.append({"node": n, "key": k})
-    add(
-        CheckResult(
-            "flow_inset_cover",
-            "locally visible keys are covered by the inset flow",
-            passed=not ws,
-            witnesses=_cap(ws),
+    for n in nodes:
+        fl = inset_flow[n]
+        ws += (
+            {"node": n, "key": k}
+            for k in sorted([k for k in local[n] if fl.get(k, 0) <= 0])
         )
-    )
+    add("flow_inset_cover", ws)
 
     # Flow condition 5: no key can arrive at a node along two routes.
     ws = []
-    for n in sorted(g.nodes):
-        for k, cnt in sorted(inset_flow[n].items()):
-            if cnt > 1:
-                ws.append({"node": n, "key": k, "multiplicity": cnt})
-    add(
-        CheckResult(
-            "flow_inset_unique",
-            "inset flow multiplicity is at most one",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
-    )
+    for n in nodes:
+        fl = inset_flow[n]
+        if max(fl.values(), default=0) > 1:
+            ws += (
+                {"node": n, "key": k, "multiplicity": cnt}
+                for k, cnt in sorted((k, c) for k, c in fl.items() if c > 1)
+            )
+    add("flow_inset_unique", ws)
 
     # The flow equation must hold exactly for both flows.
-    for kind, cid, fl in (
+    for kind, check_id, fl in (
         ("cir", "floweqn_cir_residual", cir_flow),
         ("inset", "floweqn_inset_residual", inset_flow),
     ):
         res = flow_residuals(g, kind, fl)
-        ws = [
-            {"node": n, "residual": {repr(el): c for el, c in diff.items()}}
-            for n, diff in sorted(res.items())
-        ]
         add(
-            CheckResult(
-                cid,
-                f"{'copy' if kind == 'cir' else 'inset'} flow satisfies its flow equation",
-                passed=not ws,
-                witnesses=_cap(ws),
-            )
+            check_id,
+            [
+                {"node": n, "residual": {repr(el): c for el, c in diff.items()}}
+                for n, diff in sorted(res.items())
+            ],
         )
 
     # Cross-validation: the two inset formulations must agree exactly.
     ws = []
-    for n in sorted(g.nodes):
-        support = frozenset(k for k, c in inset_flow[n].items() if c > 0)
+    for n in nodes:
+        fl = inset_flow[n]
+        if min(fl.values(), default=1) > 0:
+            support = frozenset(fl)
+        else:
+            support = frozenset(k for k, c in fl.items() if c > 0)
         if support != insets[n]:
             ws.append(
                 {
@@ -414,20 +342,13 @@ def check_invariants(
                     "set_only": sorted(insets[n] - support),
                 }
             )
-    add(
-        CheckResult(
-            "inset_flow_matches_inset",
-            "inset flow support equals set-propagated insets",
-            passed=not ws,
-            witnesses=_cap(ws),
-        )
-    )
+    add("inset_flow_matches_inset", ws)
 
     # Cross-validation: when conditions 1 and 2 hold everywhere, the local
     # view must equal the recursive reach at every node, not just the root.
     if phi1.passed and phi2.passed:
         ws = []
-        for n in sorted(g.nodes):
+        for n in nodes:
             if local[n] != reach[n]:
                 diff_keys = sorted(
                     k
@@ -435,48 +356,45 @@ def check_invariants(
                     if local[n].get(k) != reach[n].get(k)
                 )
                 ws.append({"node": n, "keys": diff_keys[:10]})
-        add(
-            CheckResult(
-                "local_vs_recursive_reach",
-                "local reach view equals recursive reach",
-                passed=not ws,
-                witnesses=_cap(ws),
-            )
-        )
+        add("local_vs_recursive_reach", ws)
     else:
         add(
-            CheckResult(
-                "local_vs_recursive_reach",
-                "local reach view equals recursive reach",
-                passed=False,
-                witnesses=[{"not_evaluated": "flow conditions 1/2 already failed"}],
-                skipped=True,
-            )
-        )
+            "local_vs_recursive_reach",
+            [{"not_evaluated": "flow conditions 1/2 already failed"}],
+        ).skipped = True
 
     return report
 
 
 def check_inv2_monotone(prev: MulticopyGraph, nxt: MulticopyGraph) -> CheckResult:
     """Across two snapshots of the same structure, the reach of every node
-    present in both may only move forward in time, per key."""
+    present in both may only move forward in time, per key.
+
+    Only keys that either reach map holds are compared: a key absent from
+    both is INITIAL on both sides and cannot move backwards."""
     reach_prev = reach_maps(prev)
     reach_next = reach_maps(nxt)
+    keyspace = max(prev.keyspace_size, nxt.keyspace_size)
     ws = []
     for n in sorted(prev.nodes & nxt.nodes):
-        keyspace = max(prev.keyspace_size, nxt.keyspace_size)
-        for k in range(keyspace):
-            before = reach_prev.get(n, {}).get(k, INITIAL)
-            after = reach_next.get(n, {}).get(k, INITIAL)
-            if after.ts < before.ts:
-                ws.append(
-                    {
-                        "node": n,
-                        "key": k,
-                        "before_ts": before.ts,
-                        "after_ts": after.ts,
-                    }
-                )
+        before_map = reach_prev.get(n, {})
+        after_map = reach_next.get(n, {})
+        bad = [
+            (k, before.ts, after.ts)
+            for k, after in after_map.items()
+            if 0 <= k < keyspace
+            and after is not (before := before_map.get(k, INITIAL))
+            and after.ts < before.ts
+        ]
+        bad += (
+            (k, before.ts, INITIAL.ts)
+            for k, before in before_map.items()
+            if 0 <= k < keyspace and k not in after_map and INITIAL.ts < before.ts
+        )
+        ws += (
+            {"node": n, "key": k, "before_ts": b, "after_ts": a}
+            for k, b, a in sorted(bad)
+        )
     return CheckResult(
         "inv2_reach_monotone",
         "per-node reach timestamps never move backwards",

@@ -18,8 +18,8 @@ import sys
 from typing import Optional, Sequence
 
 from .core import MulticopyError
-from .fixtures import REPLAYS
-from .harness import WorkloadConfig, check_files, replay_fixture, run_stress
+from .fixtures import REPLAYS, replay_fixture
+from .harness import WorkloadConfig, check_files, run_stress
 
 SEED_ENV = "MULTICOPY_SEED"
 

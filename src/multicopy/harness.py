@@ -35,7 +35,6 @@ from .checker import (
 )
 from .core import TOMBSTONE, MulticopyError
 from .df import DfStructure
-from .fixtures import FixtureReport, replay_fixture  # re-exported for the CLI
 from .graph import MulticopyGraph, load_graph, save_graph
 from .history import (
     HistoryCorruptionError,
@@ -51,8 +50,6 @@ __all__ = [
     "StressReport",
     "CheckpointRecord",
     "run_stress",
-    "replay_fixture",
-    "FixtureReport",
     "check_files",
 ]
 

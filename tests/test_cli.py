@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -58,10 +59,10 @@ def test_check_flags_violations(tmp_path, capsys):
     snap = str(tmp_path / "s.json")
     assert main(STRESS_SMALL + ["--trace-out", trace, "--snapshot-out", snap]) == 0
     capsys.readouterr()
-    obj = json.loads(open(snap).read())
+    obj = json.loads(Path(snap).read_text())
     node, contents = next(iter(obj["contents"].items()))
     contents[next(iter(contents))][1] = 999_999
-    open(snap, "w").write(json.dumps(obj))
+    Path(snap).write_text(json.dumps(obj))
     assert main(["check", snap, trace]) == 1
     out = capsys.readouterr().out
     assert "result: VIOLATIONS FOUND" in out

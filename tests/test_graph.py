@@ -17,7 +17,6 @@ from multicopy.graph import (
     flow_residuals,
     graph_from_json,
     graph_to_json,
-    inset,
     inset_map,
     load_graph,
     local_reach,
@@ -83,7 +82,7 @@ def test_insets_on_diamond():
         2: frozenset({2, 3}),
         3: frozenset({0, 3}),
     }
-    assert inset(g, 3) == frozenset({0, 3})
+    assert inset_map(g)[3] == frozenset({0, 3})
     assert routed_keys(g, 0) == frozenset({0, 1, 2, 3})
     assert routed_keys(g, 3) == frozenset()
 

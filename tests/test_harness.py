@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -225,11 +226,11 @@ def test_check_files_rejects_a_doctored_snapshot(tmp_path):
         trace_out=trace_path,
         snapshot_out=snap_path,
     )
-    obj = json.loads(open(snap_path).read())
+    obj = json.loads(Path(snap_path).read_text())
     node, contents = next(iter(obj["contents"].items()))
     key = next(iter(contents))
     contents[key][1] = 999_999  # timestamp nobody ever issued
-    open(snap_path, "w").write(json.dumps(obj))
+    Path(snap_path).write_text(json.dumps(obj))
     ok, out = check_files(snap_path, trace_path)
     assert not ok
     assert not out["invariants"]["ok"]
@@ -239,13 +240,13 @@ def test_check_files_rejects_a_trace_with_duplicate_timestamps(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
     run_stress(small_config(), trace_out=trace_path, snapshot_out=snap_path)
-    lines = open(trace_path).read().splitlines()
+    lines = Path(trace_path).read_text().splitlines()
     ups = [i for i, l in enumerate(lines) if '"op": "upsert"' in l]
     a = json.loads(lines[ups[0]])
     b = json.loads(lines[ups[1]])
     a["ts"] = b["ts"]
     lines[ups[0]] = json.dumps(a)
-    open(trace_path, "w").write("\n".join(lines) + "\n")
+    Path(trace_path).write_text("\n".join(lines) + "\n")
     ok, out = check_files(snap_path, trace_path)
     assert not ok
     assert "error" in out and "valid history" in out["error"]
