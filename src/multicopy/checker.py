@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import INITIAL, TOMBSTONE, Timestamp, check_key
+from .core import INITIAL, TOMBSTONE, MulticopyError, Timestamp
 from .graph import (
     MulticopyGraph,
     compute_flow,
@@ -163,10 +163,13 @@ def check_invariants(
 
     # Inv1: the logical map told by the history equals the root's reach. A
     # key that neither holds is INITIAL on both sides, so only held keys are
-    # compared. A history narrower than the keyspace is rejected as max_ts
-    # rejects a key outside it.
+    # compared. A history narrower than the keyspace cannot tell the newest
+    # copy of the keys past its end, so it is rejected.
     if g.keyspace_size > h.keyspace_size:
-        check_key(h.keyspace_size, h.keyspace_size)
+        raise MulticopyError(
+            f"history keyspace {h.keyspace_size} is narrower than the "
+            f"snapshot keyspace {g.keyspace_size}"
+        )
     newest = {k: (v, t) for k, v, t in h.entries()}
     never = (INITIAL.value, INITIAL.ts)
     ws = []

@@ -8,7 +8,7 @@ from multicopy.checker import (
     check_invariants,
     linearize,
 )
-from multicopy.core import TOMBSTONE, TimedValue
+from multicopy.core import MulticopyError, TOMBSTONE, TimedValue
 from multicopy.graph import MulticopyGraph, derive_succ_reach
 from multicopy.history import SearchEvent, Trace, UpsertEvent, UpsertHistory
 from multicopy.lsm import LsmStructure
@@ -72,6 +72,22 @@ def test_inv1_detects_a_lost_newest_copy():
     assert bad.witnesses == [{"key": 0, "history": [7, 3], "reach": [5, 1]}]
     # Nothing else is wrong with that state.
     assert [e.check_id for e in report.failures()] == ["inv1_logical_matches_reach"]
+
+
+def test_history_narrower_than_the_snapshot_is_rejected_by_name():
+    g, _, clock = base_state()
+    g.keyspace_size = 8
+    narrow = UpsertHistory(4)
+    with pytest.raises(MulticopyError) as err:
+        check_invariants(g, narrow, clock)
+    assert str(err.value) == (
+        "history keyspace 4 is narrower than the snapshot keyspace 8"
+    )
+    # A history at least as wide as the snapshot is checked as usual.
+    wide = UpsertHistory(8)
+    for k, v, t in [(0, 5, 1), (1, 6, 2), (0, 7, 3)]:
+        wide.record_upsert(k, v, t)
+    assert check_invariants(g, wide, clock).ok
 
 
 def test_inv3_detects_an_invented_copy():

@@ -109,6 +109,17 @@ def test_choose_next_prefers_most_coverage_then_smaller_id():
     assert b.choose_next() is None  # no edge touches a live key
 
 
+def test_choose_next_with_one_successor_asks_only_whether_it_overlaps():
+    b = buffer(entries={3: TimedValue(1, 1), 9: TimedValue(1, 2)})
+    b.succ_edgesets = {30: frozenset({0, 1, 2})}
+    assert b.choose_next() is None  # disjoint: a new node is needed
+    b.succ_edgesets = {30: frozenset({1, 9})}
+    assert b.choose_next() == 30  # one live key in the edgeset is enough
+    b.succ_edgesets = {30: frozenset(range(1 << 16))}
+    assert b.choose_next() == 30
+    assert buffer(entries={}).choose_next() is None  # no successor at all
+
+
 def test_alloc_node_yields_distinct_unlinked_tables():
     a, b = alloc_node(8), alloc_node(8)
     assert a.id != b.id
@@ -203,11 +214,20 @@ def random_merge_case(rng, keyspace):
     cap = rng.choice([
         None, max(1, len(dst)), len(dst) + 1, len(dst) + 3,
         max(1, len(dst) + rng.randint(0, len(src) // 2)), keyspace,
+        # Room for exactly the whole source, and for one record less.
+        max(1, len(dst) + len(src)), max(1, len(dst) + len(src) - 1),
     ])
     return src, dst, es, cap
 
 
 def test_merge_matches_dict_oracle_on_random_pairs():
+    # How often each branch of merge_contents ran: the whole-source move
+    # (at and above the room boundary) and the per-record selection (room
+    # one short of the source, or an edge missing some source key).
+    runs = dict.fromkeys(
+        ("whole", "whole_room_exact", "select", "select_room_short",
+         "select_edge_partial_unbounded"), 0
+    )
     for seed in range(400):
         rng = random.Random(seed)
         keyspace = rng.randint(1, 10) if seed < 200 else rng.randint(1, 400)
@@ -220,7 +240,21 @@ def test_merge_matches_dict_oracle_on_random_pairs():
             n = table(1, capacity=None, entries=src)  # table -> table
         m = table(2, capacity=cap, entries=dst)
         insert_node(n, m, es)
+        before = n._records
         moved = merge_contents(n, m)
+        room = None if cap is None else cap - len(dst)
+        covered = es.issuperset(src)
+        whole = covered and (room is None or room >= len(src))
+        # The whole-source branch hands the source dict over; nothing
+        # else returns it.
+        assert (moved is before) == whole, f"seed {seed}"
+        if whole:
+            runs["whole"] += 1
+            runs["whole_room_exact"] += room == len(src)
+        else:
+            runs["select"] += 1
+            runs["select_room_short"] += covered and room == len(src) - 1
+            runs["select_edge_partial_unbounded"] += room is None and not covered
         want_moved, want_src, want_dst = expected_merge(src, dst, es, cap)
         assert set(moved) == want_moved, f"seed {seed}"
         # The returned copies are exactly the source's copies of those keys.
@@ -233,6 +267,7 @@ def test_merge_matches_dict_oracle_on_random_pairs():
         assert set(n.contents()) | set(m.contents()) == set(src) | set(dst)
         for k in moved:
             assert m.in_contents(k) == src[k]
+    assert all(count >= 10 for count in runs.values()), runs
 
 
 def test_merge_preserves_tombstone_records():
