@@ -7,12 +7,16 @@ same to a search. These types are deliberately tiny: keys are ints drawn from
 a bounded keyspace fixed at construction time, values are ints or the
 tombstone, timestamps are positive ints handed out by a per-structure clock
 (timestamp 0 is reserved for the implicit initial tombstone of every key).
+
+Routing lives here too, because the live structures and the snapshot walk in
+graph.py share it: a node's outgoing edgesets are disjoint, so a key leaves a
+node along at most one edge (route).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Optional, Union
 
 
 class MulticopyError(Exception):
@@ -48,6 +52,7 @@ class _Tombstone:
 TOMBSTONE = _Tombstone()
 
 Key = int
+NodeId = int
 Timestamp = int
 Value = Union[int, _Tombstone]
 
@@ -96,3 +101,22 @@ def check_key(key: Key, keyspace_size: int) -> None:
         raise MulticopyError(
             f"key {key} outside keyspace [0, {keyspace_size})"
         )
+
+
+def route(edgesets: Mapping[NodeId, frozenset[Key]], key: Key, src: NodeId) -> Optional[NodeId]:
+    """The successor of node src whose edgeset covers key, None if no edge
+    does. Outgoing edgesets must be disjoint; two claimants is corruption."""
+    found = None
+    for m, ks in edgesets.items():
+        if key in ks:
+            if found is not None:
+                raise EdgesetDisjointnessError(
+                    f"key {key} claimed by edges {src}->{found} and {src}->{m}"
+                )
+            found = m
+    return found
+
+
+def routed_keys(edgesets: Mapping[NodeId, frozenset[Key]]) -> frozenset[Key]:
+    """Keys covered by some outgoing edge."""
+    return frozenset().union(*edgesets.values())

@@ -18,7 +18,7 @@ from .nodes import (
     ROOT_BUFFER,
     SORTED_TABLE,
     fresh_node_id,
-    merge_contents,
+    merge_contents,  # noqa: F401  perfbench/tracing.py hooks df.merge_contents
 )
 
 
@@ -58,20 +58,7 @@ class DfStructure(MulticopyStructure):
         Unlike the DAG compaction this is not gated on capacity: flushing a
         half-empty (or empty) buffer is legal and sometimes useful.
         """
-        self._acquire(self._root)
-        m_id = None
-        try:
-            n = self._handles[self._root]
-            m = self._handles[self._disk]
-            m_id = self._disk
-            self._acquire(m_id)
-            self._succ_reach[self._root].update(merge_contents(n, m))
-        finally:
-            held = self._held_list()
-            if self._root in held:
-                self._release(self._root)
-            if m_id is not None and m_id in held:
-                self._release(m_id)
+        self._merge_down(self._root, lambda n: self._disk)
 
     def maintenance_pass(self) -> None:
         self.flush()

@@ -36,16 +36,16 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Literal, Optional
 
 from .core import (
-    EdgesetDisjointnessError,
     Key,
     MulticopyError,
     NodeContents,
+    NodeId,
     StructuralError,
     TimedValue,
     TOMBSTONE,
+    route,
 )
 
-NodeId = int
 FlowKind = Literal["cir", "inset"]
 
 # Per-node flow value: multiset as element -> count. Copy flow elements are
@@ -127,19 +127,6 @@ def topological_order(g: MulticopyGraph) -> list[NodeId]:
         raise StructuralError(f"node graph contains a cycle: {e}") from e
 
 
-def next_node_for(g: MulticopyGraph, n: NodeId, key: Key) -> Optional[NodeId]:
-    """The unique successor whose edgeset covers key, None if no edge does."""
-    found = None
-    for m, ks in g.successors(n).items():
-        if key in ks:
-            if found is not None:
-                raise EdgesetDisjointnessError(
-                    f"key {key} claimed by edges {n}->{found} and {n}->{m}"
-                )
-            found = m
-    return found
-
-
 def contents_in_reach(
     g: MulticopyGraph, n: NodeId, key: Key, _visiting: Optional[set] = None
 ) -> Optional[TimedValue]:
@@ -156,7 +143,7 @@ def contents_in_reach(
     own = g.node_contents(n).get(key)
     if own is not None:
         return own
-    m = next_node_for(g, n, key)
+    m = route(g.successors(n), key, n)
     if m is None:
         return None
     _visiting.add(n)
@@ -195,14 +182,6 @@ def local_reach(g: MulticopyGraph, n: NodeId) -> dict[Key, TimedValue]:
     view = dict(g.node_succ_reach(n))
     view.update(g.node_contents(n))
     return view
-
-
-def routed_keys(g: MulticopyGraph, n: NodeId) -> frozenset[Key]:
-    """Keys covered by some outgoing edge of n."""
-    out: frozenset[Key] = frozenset()
-    for ks in g.successors(n).values():
-        out |= ks
-    return out
 
 
 def _edge_output(g: MulticopyGraph, n: NodeId, m: NodeId, fl_n: Counter, kind: FlowKind) -> Counter:

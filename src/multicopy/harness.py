@@ -99,10 +99,18 @@ def _parse_maintenance(spec: str) -> tuple[str, float]:
     if spec == "periodic":
         return "periodic", 0.002
     if spec.startswith("periodic:"):
-        ms = float(spec.split(":", 1)[1])
-        if ms <= 0:
-            raise MulticopyError("periodic maintenance interval must be positive")
-        return "periodic", ms / 1000.0
+        try:
+            seconds = float(spec.split(":", 1)[1]) / 1000.0
+        except ValueError:
+            seconds = 0.0
+        # The comparison is also false for nan. The interval becomes a lock
+        # timeout, which threading bounds by TIMEOUT_MAX.
+        if not 0 < seconds <= threading.TIMEOUT_MAX:
+            raise MulticopyError(
+                "periodic maintenance interval must be a positive number of ms"
+                f" up to {threading.TIMEOUT_MAX * 1000:.0f}, got {spec!r}"
+            )
+        return "periodic", seconds
     raise MulticopyError(
         f"maintenance must be on-fail, periodic[:<ms>] or off, got {spec!r}"
     )

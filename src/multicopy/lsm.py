@@ -20,7 +20,9 @@ deliberately skimpy:
       move records along the edge, record the moved copies as the parent's
       view of that child (succ_reach), release parent then child, continue
       at the child. At most two locks, always parent before child, which is
-      what keeps concurrent compactions deadlock-free on a DAG.
+      what keeps concurrent compactions deadlock-free on a DAG. Each step is
+      one _merge_down call; DfStructure.flush is the same step with its
+      table as the fixed target and no capacity gate.
 
 LsmStructure specializes the template to the log-structured shape: a small
 root and a chain of exponentially growing tables that appears as compaction
@@ -42,6 +44,8 @@ from .core import (
     TOMBSTONE,
     Value,
     check_key,
+    route,
+    routed_keys,
 )
 from .graph import MulticopyGraph
 from .history import UpsertHistory
@@ -174,7 +178,7 @@ class MulticopyStructure:
             try:
                 h = self._handles[nid]
                 tv = h.in_contents(key)
-                nxt = None if tv is not None else h.find_next(key)
+                nxt = None if tv is not None else route(h.succ_edgesets, key, nid)
             finally:
                 self._release(nid)
             if tv is not None:
@@ -230,56 +234,60 @@ class MulticopyStructure:
         node_id: Optional[NodeId] = None,
         *,
         chooser: Optional[Callable[[NodeHandle], Optional[NodeId]]] = None,
-        new_edge_keys: Optional[Callable[[NodeHandle], frozenset[Key]]] = None,
     ) -> None:
         """Push records down from a full node, cascading while targets fill.
 
-        chooser overrides the default most-coverage successor policy (it may
-        return None to force a fresh sink); new_edge_keys overrides the
-        edgeset granted to a fresh sink, which defaults to all keys the node
+        Each step is one _merge_down; the cascade stops at a node with room.
+        chooser overrides the default most-coverage successor policy; it may
+        return None to force a fresh sink, whose edge owns every key the node
         does not already route somewhere.
         """
+
+        def target(n: NodeHandle) -> Optional[NodeId]:
+            if not n.at_capacity():
+                return None
+            m_id = chooser(n) if chooser is not None else n.choose_next()
+            if m_id is None:
+                cap = None if n.capacity is None else n.capacity * self.growth_factor
+                m = alloc_node(cap)
+                self._register(m)
+                # Linking happens under n's lock; nobody can reach m
+                # before this edge exists, so its lock cannot block.
+                insert_node(n, m, self._unrouted_keys(n))
+                m_id = m.id
+            return m_id
+
         nid = self._root if node_id is None else node_id
-        while True:
-            self._acquire(nid)
-            m_id = None
-            try:
-                n = self._handles[nid]
-                if not n.at_capacity():
-                    return
-                m_id = chooser(n) if chooser is not None else n.choose_next()
-                if m_id is None:
-                    cap = None if n.capacity is None else n.capacity * self.growth_factor
-                    m = alloc_node(cap)
-                    self._register(m)
-                    ks = (
-                        new_edge_keys(n)
-                        if new_edge_keys is not None
-                        else self._unrouted_keys(n)
-                    )
-                    # Linking happens under n's lock; nobody can reach m
-                    # before this edge exists, so its lock cannot block.
-                    insert_node(n, m, ks)
-                    m_id = m.id
-                else:
-                    m = self._handles[m_id]
+        while nid is not None:
+            nid = self._merge_down(nid, target)
+
+    def _merge_down(
+        self, nid: NodeId, target: Callable[[NodeHandle], Optional[NodeId]]
+    ) -> Optional[NodeId]:
+        """One locked merge step: lock nid, ask target for the child (None
+        ends the step with nothing moved), lock the child, move records down
+        the edge and record them as nid's view of it. Returns the child."""
+        self._acquire(nid)
+        m_id = None
+        try:
+            m_id = target(self._handles[nid])
+            if m_id is not None:
                 self._acquire(m_id)
+                n, m = self._handles[nid], self._handles[m_id]
                 self._succ_reach[nid].update(merge_contents(n, m))
-            finally:
-                # Parent before child, on every exit path.
-                held = self._held_list()
-                if nid in held:
-                    self._release(nid)
-                if m_id is not None and m_id in held:
-                    self._release(m_id)
-            nid = m_id
+        finally:
+            # Parent before child, on every exit path.
+            self._release(nid)
+            if m_id in self._held_list():
+                self._release(m_id)
+        return m_id
 
     def _unrouted_keys(self, n: NodeHandle) -> frozenset[Key]:
         # Every sink of a list owns the whole keyspace, so they all share one
         # frozenset, built on the first allocation rather than at creation.
         if self._all_keys is None:
             self._all_keys = frozenset(range(self.keyspace_size))
-        routed = n.routed_keys()
+        routed = routed_keys(n.succ_edgesets)
         return self._all_keys - routed if routed else self._all_keys
 
     def _register(self, m: NodeHandle) -> None:

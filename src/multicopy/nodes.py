@@ -32,12 +32,13 @@ from .core import (
     Key,
     MulticopyError,
     NodeContents,
+    NodeId,
     TimedValue,
     Timestamp,
     Value,
+    routed_keys,
 )
 
-NodeId = int
 ROOT_BUFFER: Literal["root_buffer"] = "root_buffer"
 SORTED_TABLE: Literal["sorted_table"] = "sorted_table"
 
@@ -77,22 +78,6 @@ class NodeHandle:
     def in_contents(self, key: Key) -> Optional[TimedValue]:
         """The node's own copy of key, None if it holds none."""
         return self._records.get(key)
-
-    def find_next(self, key: Key) -> Optional[NodeId]:
-        """Successor to continue a traversal at, None at the end of the line.
-
-        Outgoing edgesets must be disjoint; two claimants is corruption.
-        """
-        found = None
-        for m, ks in self.succ_edgesets.items():
-            if key in ks:
-                if found is not None:
-                    raise EdgesetDisjointnessError(
-                        f"key {key} claimed by edges {self.id}->{found} "
-                        f"and {self.id}->{m}"
-                    )
-                found = m
-        return found
 
     def live_count(self) -> int:
         return len(self._records)
@@ -142,12 +127,6 @@ class NodeHandle:
                 best = (-cov, m)
         return best[1] if best else None
 
-    def routed_keys(self) -> frozenset[Key]:
-        out: frozenset[Key] = frozenset()
-        for ks in self.succ_edgesets.values():
-            out |= ks
-        return out
-
     def __repr__(self) -> str:
         return (
             f"NodeHandle(id={self.id}, kind={self.kind}, "
@@ -170,7 +149,7 @@ def insert_node(n: NodeHandle, m: NodeHandle, keys: frozenset[Key]) -> None:
         raise MulticopyError("new edge needs a nonempty edgeset")
     if m.id in n.succ_edgesets:
         raise MulticopyError(f"node {m.id} is already a successor of {n.id}")
-    clash = keys & n.routed_keys()
+    clash = keys & routed_keys(n.succ_edgesets)
     if clash:
         raise EdgesetDisjointnessError(
             f"keys {sorted(clash)} already routed by node {n.id}"

@@ -156,9 +156,11 @@ def test_bad_mix_is_a_usage_error():
 
 
 def test_bad_maintenance_returns_failure(capsys):
-    rc = main(["stress", "--maintenance", "sometimes", "--ops-per-thread", "1"])
-    assert rc == 1
-    assert "maintenance" in capsys.readouterr().err
+    for spec in ("sometimes", "periodic:abc", "periodic:inf", "periodic:nan", "periodic:-1"):
+        rc = main(["stress", "--maintenance", spec, "--ops-per-thread", "1"])
+        assert rc == 1, spec
+        err = capsys.readouterr().err
+        assert "maintenance" in err and "Traceback" not in err, (spec, err)
 
 
 def test_seed_env_var_is_the_default(monkeypatch, capsys):

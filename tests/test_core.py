@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from multicopy.core import (
     INITIAL,
     TOMBSTONE,
+    EdgesetDisjointnessError,
     MulticopyError,
     TimedValue,
     check_key,
     is_tombstone,
+    route,
+    routed_keys,
     val_projection,
 )
 
@@ -64,3 +67,15 @@ def test_check_key_bounds():
         check_key("0", 4)
     with pytest.raises(MulticopyError):
         check_key(True, 4)
+
+
+def test_route_and_disjointness():
+    edgesets = {10: frozenset({0, 1}), 11: frozenset({2})}
+    assert route(edgesets, 0, 1) == 10
+    assert route(edgesets, 2, 1) == 11
+    assert route(edgesets, 3, 1) is None
+    assert routed_keys(edgesets) == frozenset({0, 1, 2})
+    assert routed_keys({}) == frozenset()
+    edgesets[12] = frozenset({1})
+    with pytest.raises(EdgesetDisjointnessError, match=r"key 1 claimed by edges 1->10 and 1->12"):
+        route(edgesets, 1, 1)

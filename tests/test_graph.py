@@ -8,6 +8,8 @@ from multicopy.core import (
     EdgesetDisjointnessError,
     StructuralError,
     TimedValue,
+    route,
+    routed_keys,
 )
 from multicopy.graph import (
     MulticopyGraph,
@@ -20,9 +22,7 @@ from multicopy.graph import (
     inset_map,
     load_graph,
     local_reach,
-    next_node_for,
     reach_maps,
-    routed_keys,
     save_graph,
     structural_issues,
     topological_order,
@@ -83,8 +83,8 @@ def test_insets_on_diamond():
         3: frozenset({0, 3}),
     }
     assert inset_map(g)[3] == frozenset({0, 3})
-    assert routed_keys(g, 0) == frozenset({0, 1, 2, 3})
-    assert routed_keys(g, 3) == frozenset()
+    assert routed_keys(g.successors(0)) == frozenset({0, 1, 2, 3})
+    assert routed_keys(g.successors(3)) == frozenset()
 
 
 def test_flows_on_diamond_match_hand_computation():
@@ -141,7 +141,7 @@ def test_inset_flow_counts_paths_not_just_support():
     assert [i["kind"] for i in issues] == ["edgeset_overlap"]
     assert issues[0]["keys"] == [0]
     with pytest.raises(EdgesetDisjointnessError):
-        next_node_for(g, 0, 0)
+        route(g.successors(0), 0, 0)
 
 
 def test_flows_match_naive_iteration_on_random_dags():

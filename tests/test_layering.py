@@ -1,0 +1,56 @@
+"""The checking side stays independent of the structure it checks.
+
+graph.py, checker.py and history.py read snapshots, histories and traces
+only. If they imported the node, template or harness code, a bug there could
+hide itself by being shared with its own check. core.py, which holds the
+domain types and the routing rule, is the one module both sides use.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import multicopy
+
+PACKAGE = Path(multicopy.__file__).parent
+CHECKING_SIDE = ("graph", "checker", "history")
+STRUCTURE_SIDE = {"nodes", "lsm", "df", "harness"}
+
+
+def package_imports(source: str) -> set[str]:
+    """Names of the multicopy modules that source imports, in any form."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("multicopy." if node.level else "") + (node.module or "")
+            # The imported names count too: "from . import df" names a module.
+            dotted = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in dotted:
+            parts = [p for p in name.split(".") if p]
+            if parts[0] == "multicopy" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_package_imports_sees_every_import_form():
+    source = (
+        "import multicopy.nodes\n"
+        "from multicopy.lsm import LsmStructure\n"
+        "from multicopy import df\n"
+        "from .harness import run_stress\n"
+        "from . import core\n"
+        "import json\n"
+    )
+    assert package_imports(source) == {"nodes", "lsm", "df", "harness", "core"}
+
+
+def test_checking_side_imports_nothing_from_the_structure():
+    for module in CHECKING_SIDE:
+        imported = package_imports((PACKAGE / f"{module}.py").read_text())
+        assert "core" in imported, module
+        assert not imported & STRUCTURE_SIDE, (module, sorted(imported & STRUCTURE_SIDE))

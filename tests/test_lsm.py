@@ -114,6 +114,31 @@ def test_flush_grows_a_doubling_chain():
     assert report.ok, report.format_text()
 
 
+def test_a_failing_merge_step_releases_both_locks():
+    s = LsmStructure.create(keyspace_size=16, root_capacity=2, flush_on_full=False)
+    for k in range(4):
+        s.upsert(k, k)
+        s.flush_root()  # root -> t1 (cap 4) -> t2 (cap 8) by the fourth
+    root, (t1, t2) = s.root_id, sorted(set(s.node_ids()) - {s.root_id})
+    assert list(s.handle(root).succ_edgesets) == [t1]
+    s.upsert(8, 80)
+    s.upsert(9, 90)
+    # t2 is not a successor of the root, so the merge step fails after it
+    # has taken both locks.
+    with pytest.raises(MulticopyError, match=f"no edge {root}->{t2}"):
+        s.compact(chooser=lambda n: t2)
+    assert s._held_list() == []
+    assert not any(lock.locked() for lock in s._locks.values())
+    assert [v["reason"] for v in s.lock_order_violations] == [
+        "second lock is not a successor of the first"
+    ]
+    s.flush_root()
+    s.upsert(10, 100)
+    s.flush_root()
+    assert [s.search(k) for k in (0, 8, 9, 10)] == [0, 80, 90, 100]
+    assert check_invariants(s.snapshot_graph(), s.history, s.clock).ok
+
+
 def test_chain_stays_a_list_with_growing_capacities():
     s = LsmStructure.create(keyspace_size=64, root_capacity=2, growth_factor=3)
     rng = random.Random(7)

@@ -88,17 +88,6 @@ def test_node_constructor_validation():
         NodeHandle(1, ROOT_BUFFER, 0)
 
 
-def test_find_next_and_disjointness():
-    b = buffer()
-    b.succ_edgesets = {10: frozenset({0, 1}), 11: frozenset({2})}
-    assert b.find_next(0) == 10
-    assert b.find_next(2) == 11
-    assert b.find_next(3) is None
-    b.succ_edgesets[12] = frozenset({1})
-    with pytest.raises(EdgesetDisjointnessError):
-        b.find_next(1)
-
-
 def test_choose_next_prefers_most_coverage_then_smaller_id():
     b = buffer(entries={0: TimedValue(1, 1), 1: TimedValue(1, 2), 5: TimedValue(1, 3)})
     b.succ_edgesets = {20: frozenset({0}), 12: frozenset({1, 5})}
