@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import INITIAL, TOMBSTONE, MulticopyError, Timestamp
+from .core import INITIAL, TOMBSTONE, MulticopyError, Timestamp, encode_value
 from .graph import (
     MulticopyGraph,
     compute_flow,
@@ -90,10 +90,6 @@ class InvariantReport:
                 lines.append(f"         witness: {w}")
         lines.append("result: " + ("OK" if self.ok else "INVARIANT VIOLATIONS FOUND"))
         return "\n".join(lines)
-
-
-def _enc(v):
-    return None if v is TOMBSTONE else v
 
 
 def _cap(ws: list[dict]) -> list[dict]:
@@ -180,8 +176,8 @@ def check_invariants(
                 ws.append(
                     {
                         "key": k,
-                        "history": [_enc(logical[0]), logical[1]],
-                        "reach": [_enc(reached.value), reached.ts],
+                        "history": [encode_value(logical[0]), logical[1]],
+                        "reach": [encode_value(reached.value), reached.ts],
                     }
                 )
     ws.sort(key=lambda w: w["key"])
@@ -196,7 +192,7 @@ def check_invariants(
             if not h.contains(k, tv.value, tv.ts)
         ]
         ws += (
-            {"node": n, "key": k, "copy": [_enc(tv.value), tv.ts]}
+            {"node": n, "key": k, "copy": [encode_value(tv.value), tv.ts]}
             for k, tv in sorted(bad)
         )
     add("inv3_contents_in_history", ws)
@@ -273,8 +269,8 @@ def check_invariants(
                 {
                     "node": n,
                     "key": k,
-                    "flowed": [_enc(tv.value), tv.ts],
-                    "local": None if got is None else [_enc(got.value), got.ts],
+                    "flowed": [encode_value(tv.value), tv.ts],
+                    "local": None if got is None else [encode_value(got.value), got.ts],
                 }
             )
     phi2 = add("flow_reach_agree", ws)
@@ -426,10 +422,6 @@ class LinearizationResult:
         return out
 
 
-def _event_json(e: TraceEvent) -> dict:
-    return e.to_json()
-
-
 def linearize(trace: Trace) -> LinearizationResult:
     """Build and validate a sequential order for the trace; see module doc."""
     ups = sorted(trace.upserts(), key=lambda u: (u.ts, u.inv))
@@ -440,13 +432,13 @@ def linearize(trace: Trace) -> LinearizationResult:
                 failure={
                     "kind": "duplicate_upsert_ts",
                     "ts": a.ts,
-                    "events": [_event_json(a), _event_json(b)],
+                    "events": [a.to_json(), b.to_json()],
                 },
             )
     if ups and ups[0].ts <= 0:
         return LinearizationResult(
             ok=False,
-            failure={"kind": "nonpositive_upsert_ts", "event": _event_json(ups[0])},
+            failure={"kind": "nonpositive_upsert_ts", "event": ups[0].to_json()},
         )
     ts_list = [u.ts for u in ups]
 
@@ -464,7 +456,7 @@ def linearize(trace: Trace) -> LinearizationResult:
                     ok=False,
                     failure={
                         "kind": "unmatched_return_ts",
-                        "event": _event_json(s),
+                        "event": s.to_json(),
                     },
                 )
             placements[s] = f"after_ts:{s.tp}"
@@ -488,8 +480,8 @@ def linearize(trace: Trace) -> LinearizationResult:
                 placements=placements,
                 failure={
                     "kind": "real_time_order",
-                    "event": _event_json(e),
-                    "must_follow": _event_json(max_inv_event),
+                    "event": e.to_json(),
+                    "must_follow": max_inv_event.to_json(),
                 },
             )
         if max_inv is None or e.inv > max_inv:
@@ -510,8 +502,8 @@ def linearize(trace: Trace) -> LinearizationResult:
                     placements=placements,
                     failure={
                         "kind": "value_mismatch",
-                        "event": _event_json(e),
-                        "expected": _enc(expected),
+                        "event": e.to_json(),
+                        "expected": encode_value(expected),
                     },
                 )
 

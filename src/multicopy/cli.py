@@ -118,9 +118,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 else:
                     print(report.format_text())
                 return 0 if report.ok else 1
-            report = run_stress(
-                config, record=False, online_checks=False, checkpoints=False
-            )
+            report = run_stress(config, checked=False)
             if args.as_json:
                 print(
                     json.dumps(

@@ -93,6 +93,31 @@ def val_projection(contents: NodeContents) -> dict[Key, Value]:
     return {k: tv.value for k, tv in contents.items()}
 
 
+def encode_value(v: Value) -> Optional[int]:
+    """The JSON form of a value, used by snapshots, traces and reports: the
+    tombstone is null."""
+    return None if v is TOMBSTONE else v
+
+
+def decode_value(raw: object) -> Value:
+    """Inverse of encode_value; anything but null or an int raises."""
+    return TOMBSTONE if raw is None else int_field(raw, "value")
+
+
+def int_field(raw: object, name: str) -> int:
+    """raw itself if it is an int (a bool is not), else MulticopyError naming
+    the field. For fields read from snapshot and trace files."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise MulticopyError(f"{name} must be an int, got {raw!r}")
+    return raw
+
+
+def check_keyspace(keyspace_size: object) -> None:
+    """Reject a keyspace size that is not a positive int."""
+    if int_field(keyspace_size, "keyspace_size") <= 0:
+        raise MulticopyError(f"keyspace_size must be positive, got {keyspace_size}")
+
+
 def check_key(key: Key, keyspace_size: int) -> None:
     """Reject keys outside the keyspace the structure was built for."""
     if not isinstance(key, int) or isinstance(key, bool):

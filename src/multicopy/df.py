@@ -34,19 +34,11 @@ class DfStructure(MulticopyStructure):
         cls,
         keyspace_size: int,
         root_capacity: int,
-        *,
-        flush_on_full: bool = True,
     ) -> "DfStructure":
         root = NodeHandle(fresh_node_id(), ROOT_BUFFER, root_capacity)
         disk = NodeHandle(fresh_node_id(), SORTED_TABLE, capacity=None)
         root.succ_edgesets[disk.id] = frozenset(range(keyspace_size))
-        return cls(
-            keyspace_size,
-            root.id,
-            [root, disk],
-            disk_id=disk.id,
-            flush_on_full=flush_on_full,
-        )
+        return cls(keyspace_size, root.id, [root, disk], disk_id=disk.id)
 
     @property
     def disk_id(self) -> NodeId:

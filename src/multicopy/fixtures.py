@@ -26,13 +26,13 @@ pictures easy to follow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .checker import check_inv2_monotone, check_invariants
 from .core import TOMBSTONE, TimedValue, val_projection
 from .graph import MulticopyGraph, derive_succ_reach, reach_maps
 from .history import UpsertHistory
-from .lsm import LsmStructure
+from .lsm import LsmStructure, graph_of
 from .nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE, merge_contents
 
 K1, K2, K3, K4 = 0, 1, 2, 3
@@ -72,18 +72,6 @@ class FixtureReport:
         return "\n".join(lines)
 
 
-def _graph_of(keyspace_size: int, root: int, handles: list[NodeHandle],
-              succ_reach: Optional[dict] = None) -> MulticopyGraph:
-    g = MulticopyGraph(keyspace_size=keyspace_size, root=root,
-                       nodes={h.id for h in handles})
-    for h in handles:
-        g.contents[h.id] = h.contents()
-        if h.succ_edgesets:
-            g.edgesets[h.id] = dict(h.succ_edgesets)
-        g.succ_reach[h.id] = dict((succ_reach or {}).get(h.id, {}))
-    return g
-
-
 def _list_history(keyspace_size: int) -> UpsertHistory:
     # The upsert sequence that produces the four-node list scenarios:
     # timestamps 1..7 over keys k1..k3.
@@ -117,10 +105,10 @@ def _list_structure(root_capacity: int, n1_capacity: int) -> tuple[LsmStructure,
     n1.succ_edgesets[n2.id] = everything
     n2.succ_edgesets[n3.id] = everything
     handles = [r, n1, n2, n3]
-    seed = derive_succ_reach(_graph_of(ks, r.id, handles))
+    seed = derive_succ_reach(graph_of(ks, r.id, handles, {}))
     s = LsmStructure(
         ks, r.id, handles,
-        growth_factor=2, flush_on_full=False, clock=8,
+        growth_factor=2, clock=8,
         history=_list_history(ks), succ_reach=seed,
     )
     return s, [h.id for h in handles]
@@ -147,7 +135,7 @@ def replay_list_compaction() -> FixtureReport:
     s, (r, n1, n2, n3) = _list_structure(root_capacity=1, n1_capacity=4)
     _expect_searches(report, s, "initial state")
     before = reach_maps(s.snapshot_graph())[r]
-    s.flush_root()
+    s.compact()
     g = s.snapshot_graph()
     report.expect_eq("flush: root drained", val_projection(g.contents[r]), {})
     report.expect_eq(
@@ -229,7 +217,7 @@ def _diamond_state() -> tuple[list[NodeHandle], dict, UpsertHistory]:
     n.succ_edgesets[m.id] = frozenset({K2})
     p.succ_edgesets[m.id] = frozenset({K1, K2})
     handles = [n, p, m]
-    q = derive_succ_reach(_graph_of(ks, n.id, handles))
+    q = derive_succ_reach(graph_of(ks, n.id, handles, {}))
     h = UpsertHistory(ks)
     for key, ts in [(K2, 1), (K1, 2), (K1, 3), (K2, 4), (K1, 5), (K2, 6)]:
         h.record_upsert(key, ts, ts)
@@ -244,7 +232,7 @@ def replay_unsound_merges() -> FixtureReport:
     ks = 2
 
     def snap() -> MulticopyGraph:
-        return _graph_of(ks, n.id, handles, q)
+        return graph_of(ks, n.id, handles, q)
 
     def do_merge(src: NodeHandle, dst: NodeHandle) -> None:
         q[src.id].update(merge_contents(src, dst))
@@ -339,7 +327,7 @@ def replay_cascade_split() -> FixtureReport:
     a.succ_edgesets[b.id] = frozenset(range(ks))
     b.succ_edgesets[c.id] = frozenset({K1, K2})
     handles = [a, b, c]
-    seed = derive_succ_reach(_graph_of(ks, a.id, handles))
+    seed = derive_succ_reach(graph_of(ks, a.id, handles, {}))
 
     h = UpsertHistory(ks)
     for key, ts in [
@@ -349,7 +337,7 @@ def replay_cascade_split() -> FixtureReport:
         h.record_upsert(key, ts, ts)
 
     s = LsmStructure(ks, a.id, handles, growth_factor=2,
-                     flush_on_full=False, clock=9, history=h, succ_reach=seed)
+                     clock=9, history=h, succ_reach=seed)
 
     full_view = {
         K1: TimedValue(7, 7), K2: TimedValue(5, 5),

@@ -42,7 +42,10 @@ from .core import (
     NodeId,
     StructuralError,
     TimedValue,
-    TOMBSTONE,
+    check_keyspace,
+    decode_value,
+    encode_value,
+    int_field,
     route,
 )
 
@@ -290,12 +293,16 @@ def derive_succ_reach(g: MulticopyGraph) -> dict[NodeId, dict[Key, TimedValue]]:
 
 
 def _encode_tv(tv: TimedValue) -> list:
-    return [None if tv.value is TOMBSTONE else tv.value, tv.ts]
+    return [encode_value(tv.value), tv.ts]
 
 
 def _decode_tv(raw: list) -> TimedValue:
     v, t = raw
-    return TimedValue(TOMBSTONE if v is None else v, t)
+    return TimedValue(decode_value(v), int_field(t, "ts"))
+
+
+def _node_id(raw: object) -> NodeId:
+    return int_field(raw, "node id")
 
 
 def graph_to_json(g: MulticopyGraph) -> dict:
@@ -322,20 +329,21 @@ def graph_from_json(obj: dict) -> MulticopyGraph:
     if not isinstance(obj, dict):
         raise MulticopyError("malformed snapshot: expected a JSON object")
     try:
+        check_keyspace(obj["keyspace_size"])
         g = MulticopyGraph(
             keyspace_size=obj["keyspace_size"],
-            root=obj["root"],
-            nodes=set(obj["nodes"]),
+            root=_node_id(obj["root"]),
+            nodes={_node_id(n) for n in obj["nodes"]},
         )
         for n_s, c in obj.get("contents", {}).items():
             g.contents[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in c.items()}
         for n, m, ks in obj.get("edgesets", []):
-            g.edgesets.setdefault(n, {})[m] = frozenset(ks)
+            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(ks)
         for n_s, sr in obj.get("succ_reach", {}).items():
             g.succ_reach[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in sr.items()}
     except KeyError as e:
         raise MulticopyError(f"malformed snapshot: missing field {e.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, MulticopyError) as e:
         raise MulticopyError(f"malformed snapshot: {e}") from None
     return g
 

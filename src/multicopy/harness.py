@@ -3,13 +3,15 @@
 A run spawns worker threads that execute deterministic per-thread op streams
 (derived from the seed) against a fresh structure, while an optional
 maintenance thread flushes periodically and whenever a writer finds the
-root full. Every search is checked online against the history the moment it
-returns. Checkpoints are requested at their marks: the worker whose op
-completes every checkpoint_every * threads ops asks for a pause, all
-participants park at a gate (between operations, or while waiting holding
-no node lock), and the coordinating thread snapshots the structure, runs
-the full invariant suite plus cross-snapshot monotonicity, and resumes. At
-the end the recorded trace must linearize.
+root full. In a checked run (the default) every search is checked online
+against the history the moment it returns. Checkpoints are requested at
+their marks: the worker whose op completes every checkpoint_every * threads
+ops asks for a pause, all participants park at a gate (between operations,
+or while waiting holding no node lock), and the coordinating thread
+snapshots the structure, runs the full invariant suite plus cross-snapshot
+monotonicity, and resumes. At the end the recorded trace must linearize and
+the history predicates must hold. An unchecked run does none of this; it
+only runs the ops and times them.
 
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
@@ -18,6 +20,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import threading
@@ -79,18 +82,7 @@ class WorkloadConfig:
         _parse_maintenance(self.maintenance)
 
     def to_json(self) -> dict:
-        return {
-            "keyspace_size": self.keyspace_size,
-            "threads": self.threads,
-            "ops_per_thread": self.ops_per_thread,
-            "mix": list(self.mix),
-            "structure": self.structure,
-            "root_capacity": self.root_capacity,
-            "growth_factor": self.growth_factor,
-            "maintenance": self.maintenance,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return dict(dataclasses.asdict(self), mix=list(self.mix))
 
 
 def _parse_maintenance(spec: str) -> tuple[str, float]:
@@ -332,11 +324,7 @@ class StressReport:
             else self.linearization.to_json(),
             "history_predicates": None
             if self.history_predicates is None
-            else {
-                "init": self.history_predicates.init_ok,
-                "unique": self.history_predicates.unique_ok,
-                "clock": self.history_predicates.clock_ok,
-            },
+            else self.history_predicates.to_json(),
             "final_nodes": self.final_nodes,
             "root_full_waits": self.root_full_waits,
             "root_full_wait_s": round(self.root_full_wait_s, 6),
@@ -380,27 +368,22 @@ class StressReport:
 def _build_structure(config: WorkloadConfig):
     if config.structure == "lsm":
         return LsmStructure.create(
-            config.keyspace_size,
-            config.root_capacity,
-            config.growth_factor,
-            flush_on_full=False,
+            config.keyspace_size, config.root_capacity, config.growth_factor
         )
-    return DfStructure.create(
-        config.keyspace_size, config.root_capacity, flush_on_full=False
-    )
+    return DfStructure.create(config.keyspace_size, config.root_capacity)
 
 
 def run_stress(
     config: WorkloadConfig,
     *,
-    record: bool = True,
-    online_checks: bool = True,
-    checkpoints: bool = True,
+    checked: bool = True,
     trace_out: Optional[str] = None,
     snapshot_out: Optional[str] = None,
 ) -> StressReport:
-    """Execute one configured run; see module doc. With record/online/
-    checkpoints all off this degenerates into a pure benchmark loop."""
+    """Execute one configured run; see module doc. With checked=False no
+    checker runs and nothing is recorded, so no trace is written; the
+    report then carries only the counts, the timing and the final
+    snapshot."""
     config.validate()
     report = StressReport(config=config)
     structure = _build_structure(config)
@@ -441,7 +424,7 @@ def run_stress(
     thread_errors: list[Exception] = []
     # A checkpoint is requested by the worker whose op completes a mark;
     # marks at or past the last op are left to the final checkpoint.
-    step = max(config.checkpoint_every, 0) * config.threads if checkpoints else 0
+    step = max(config.checkpoint_every, 0) * config.threads if checked else 0
     total = config.threads * config.ops_per_thread
     completed = itertools.count(1)
 
@@ -457,12 +440,12 @@ def run_stress(
                     inv = next(seq)
                     probe = structure.search_timed(key)
                     resp = next(seq)
-                    rec = structure.history.check_search_recency(
-                        key, probe.value, probe.ts, probe.snap
-                    )
-                    if online_checks and not rec.ok:
-                        violations.append(rec.to_dict())
-                    if record:
+                    if checked:
+                        rec = structure.history.check_search_recency(
+                            key, probe.value, probe.ts, probe.snap
+                        )
+                        if not rec.ok:
+                            violations.append(rec.to_dict())
                         events.append(
                             SearchEvent(
                                 thread=tid,
@@ -481,7 +464,7 @@ def run_stress(
                     inv = next(seq)
                     ts = structure.upsert_timed(key, value)
                     resp = next(seq)
-                    if record:
+                    if checked:
                         events.append(
                             UpsertEvent(
                                 thread=tid, key=key, value=value,
@@ -560,16 +543,14 @@ def run_stress(
     if thread_errors:
         raise thread_errors[0]
 
-    if checkpoints:
-        take_checkpoint(quiesce=False)
-
     report.total_ops = sum(done)
-    for v in violations_per_thread:
-        report.recency_violations.extend(v)
     report.lock_order_violations = list(structure.lock_order_violations)
     report.final_nodes = len(structure.node_ids())
 
-    if record:
+    if checked:
+        take_checkpoint(quiesce=False)
+        for v in violations_per_thread:
+            report.recency_violations.extend(v)
         trace = Trace(keyspace_size=config.keyspace_size)
         for evs in events_per_thread:
             trace.events.extend(evs)
@@ -580,8 +561,8 @@ def run_stress(
         report.linearization = linearize(trace)
         if trace_out:
             trace.dump(trace_out)
+        report.history_predicates = structure.history.verify_predicates(structure.clock)
 
-    report.history_predicates = structure.history.verify_predicates(structure.clock)
     report.snapshot = structure.snapshot_graph()
     if snapshot_out:
         save_graph(report.snapshot, snapshot_out)
@@ -610,9 +591,7 @@ def check_files(snapshot_path: str, trace_path: str) -> tuple[bool, dict]:
     preds = h.verify_predicates(clock)
     out["invariants"] = inv.to_json()
     out["linearization"] = lin.to_json()
-    out["history_predicates"] = {
-        "init": preds.init_ok, "unique": preds.unique_ok, "clock": preds.clock_ok,
-    }
+    out["history_predicates"] = preds.to_json()
     ok = inv.ok and lin.ok and preds.ok
     out["ok"] = ok
     return ok, out

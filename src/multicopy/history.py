@@ -31,6 +31,10 @@ from .core import (
     Timestamp,
     Value,
     check_key,
+    check_keyspace,
+    decode_value,
+    encode_value,
+    int_field,
 )
 
 
@@ -44,8 +48,7 @@ class UpsertHistory:
     """
 
     def __init__(self, keyspace_size: int):
-        if keyspace_size <= 0:
-            raise ValueError("keyspace_size must be positive")
+        check_keyspace(keyspace_size)
         self.keyspace_size = keyspace_size
         self._log: list[tuple[Key, Value, Timestamp]] = []
         # key -> log indices of that key's entries, ascending. Maintained at
@@ -186,7 +189,7 @@ class RecencyResult:
     def to_dict(self) -> dict:
         return {
             "key": self.key,
-            "value": _encode_value(self.value),
+            "value": encode_value(self.value),
             "tp": self.tp,
             "snap": self.snap,
             "t0": self.t0,
@@ -205,13 +208,8 @@ class HistoryPredicateReport:
     def ok(self) -> bool:
         return self.init_ok and self.unique_ok and self.clock_ok
 
-
-def _encode_value(v: Value) -> Optional[int]:
-    return None if v is TOMBSTONE else v
-
-
-def _decode_value(raw: Optional[int]) -> Value:
-    return TOMBSTONE if raw is None else raw
+    def to_json(self) -> dict:
+        return {"init": self.init_ok, "unique": self.unique_ok, "clock": self.clock_ok}
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ class SearchEvent:
             "op": "search",
             "thread": self.thread,
             "key": self.key,
-            "value": _encode_value(self.value),
+            "value": encode_value(self.value),
             "t0": self.t0,
             "tp": self.tp,
             "snap": self.snap,
@@ -262,7 +260,7 @@ class UpsertEvent:
             "op": "upsert",
             "thread": self.thread,
             "key": self.key,
-            "value": _encode_value(self.value),
+            "value": encode_value(self.value),
             "ts": self.ts,
             "inv": self.inv,
             "resp": self.resp,
@@ -313,13 +311,14 @@ class Trace:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise MulticopyError(f"malformed trace: not JSON ({e}) at line {n}") from None
-                if isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj:
-                    keyspace_size = obj["keyspace_size"]
-                    continue
                 try:
+                    if isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj:
+                        keyspace_size = obj["keyspace_size"]
+                        check_keyspace(keyspace_size)
+                        continue
                     events.append(event_from_json(obj))
                 except MulticopyError as e:
-                    raise MulticopyError(f"{e} at line {n}") from None
+                    raise MulticopyError(f"malformed trace: {e} at line {n}") from None
         if keyspace_size is None:
             # Tolerate headerless traces; infer a bound from the events.
             keyspace_size = 1 + max((e.key for e in events), default=0)
@@ -342,28 +341,15 @@ class Trace:
 def event_from_json(obj: object) -> TraceEvent:
     """Rebuild one trace event; a malformed one raises MulticopyError."""
     if not isinstance(obj, dict):
-        raise MulticopyError("malformed trace: expected a JSON object")
+        raise MulticopyError("expected a JSON object")
     try:
         if obj["op"] == "search":
-            return SearchEvent(
-                thread=obj["thread"],
-                key=obj["key"],
-                value=_decode_value(obj["value"]),
-                t0=obj["t0"],
-                tp=obj["tp"],
-                snap=obj["snap"],
-                inv=obj["inv"],
-                resp=obj["resp"],
-            )
-        if obj["op"] == "upsert":
-            return UpsertEvent(
-                thread=obj["thread"],
-                key=obj["key"],
-                value=_decode_value(obj["value"]),
-                ts=obj["ts"],
-                inv=obj["inv"],
-                resp=obj["resp"],
-            )
+            cls, fields = SearchEvent, ("thread", "key", "t0", "tp", "snap", "inv", "resp")
+        elif obj["op"] == "upsert":
+            cls, fields = UpsertEvent, ("thread", "key", "ts", "inv", "resp")
+        else:
+            raise MulticopyError(f"unknown op {obj['op']!r}")
+        ints = {f: int_field(obj[f], f) for f in fields}
+        return cls(value=decode_value(obj["value"]), **ints)
     except KeyError as e:
-        raise MulticopyError(f"malformed trace: missing field {e.args[0]!r}") from None
-    raise MulticopyError(f"malformed trace: unknown op {obj['op']!r}")
+        raise MulticopyError(f"missing field {e.args[0]!r}") from None

@@ -13,7 +13,9 @@ deliberately skimpy:
       with the current clock, publish the (key, value, ts) triple to the
       history and advance the clock, all in the same critical section, so
       releasing the root lock is the moment the upsert takes effect. A full
-      root means retry (after giving maintenance a chance).
+      root means retry after the root-full hook runs: maintenance_pass
+      unless set_on_root_full installed another (the stress harness hands
+      the wait to its flusher).
 
   compact walks down: lock a full node, pick the successor covering most of
       its live keys (or grow a fresh sink when no edge wants them), lock it,
@@ -32,9 +34,8 @@ pushes records down.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .core import (
     Key,
@@ -44,6 +45,7 @@ from .core import (
     TOMBSTONE,
     Value,
     check_key,
+    check_keyspace,
     route,
     routed_keys,
 )
@@ -80,13 +82,11 @@ class MulticopyStructure:
         handles: Iterable[NodeHandle],
         *,
         growth_factor: int = 2,
-        flush_on_full: bool = True,
         clock: Timestamp = 1,
         history: Optional[UpsertHistory] = None,
         succ_reach: Optional[dict[NodeId, dict[Key, TimedValue]]] = None,
     ):
-        if keyspace_size <= 0:
-            raise MulticopyError("keyspace_size must be positive")
+        check_keyspace(keyspace_size)
         if growth_factor < 1:
             raise MulticopyError("growth_factor must be >= 1")
         self.keyspace_size = keyspace_size
@@ -106,10 +106,8 @@ class MulticopyStructure:
         self._clock = clock
         self._all_keys: Optional[frozenset[Key]] = None
         self.history = history if history is not None else UpsertHistory(keyspace_size)
-        # Maintenance hook: runs (lock-free) after a failed root append.
-        self._on_root_full: Optional[Callable[[], None]] = (
-            self.maintenance_pass if flush_on_full else None
-        )
+        # Runs (lock-free) after a failed root append.
+        self._on_root_full: Callable[[], None] = self.maintenance_pass
         self._held = threading.local()
         self.lock_order_violations: list[dict] = []
         self._viol_lock = threading.Lock()
@@ -194,8 +192,7 @@ class MulticopyStructure:
         """Write a fresh copy at the root; returns the timestamp it got.
 
         Retries for as long as the root is full of other keys; each failed
-        round hands control to the maintenance hook (or naps briefly) so a
-        flusher can make room.
+        round runs the root-full hook, which must make room or wait for it.
         """
         check_key(key, self.keyspace_size)
         while True:
@@ -210,10 +207,7 @@ class MulticopyStructure:
                     return t
             finally:
                 self._release(self._root)
-            if self._on_root_full is not None:
-                self._on_root_full()
-            else:
-                time.sleep(1e-4)
+            self._on_root_full()
 
     def upsert(self, key: Key, value: Value) -> None:
         self.upsert_timed(key, value)
@@ -221,11 +215,13 @@ class MulticopyStructure:
     def delete(self, key: Key) -> None:
         self.upsert_timed(key, TOMBSTONE)
 
-    def set_on_root_full(self, hook: Optional[Callable[[], None]]) -> None:
+    def set_on_root_full(self, hook: Callable[[], None]) -> None:
+        """Replace the root-full hook (by default maintenance_pass)."""
         self._on_root_full = hook
 
     def maintenance_pass(self) -> None:
-        raise NotImplementedError
+        """Make room at the root: compact from it. A no-op while it has room."""
+        self.compact()
 
     # --- compaction -------------------------------------------------------------
 
@@ -305,17 +301,25 @@ class MulticopyStructure:
         Only meaningful at quiescence (no operation in flight); the stress
         harness pauses its workers before calling this.
         """
-        g = MulticopyGraph(
-            keyspace_size=self.keyspace_size,
-            root=self._root,
-            nodes=set(self._handles),
-        )
-        for nid, h in self._handles.items():
-            g.contents[nid] = h.contents()
-            if h.succ_edgesets:
-                g.edgesets[nid] = dict(h.succ_edgesets)
-            g.succ_reach[nid] = dict(self._succ_reach[nid])
-        return g
+        return graph_of(self.keyspace_size, self._root, self._handles.values(), self._succ_reach)
+
+
+def graph_of(
+    keyspace_size: int,
+    root: NodeId,
+    handles: Iterable[NodeHandle],
+    succ_reach: Mapping[NodeId, dict[Key, TimedValue]],
+) -> MulticopyGraph:
+    """A snapshot of the given nodes, copied so that later changes to them
+    do not show; a node missing from succ_reach has recorded nothing."""
+    g = MulticopyGraph(keyspace_size=keyspace_size, root=root)
+    for h in handles:
+        g.nodes.add(h.id)
+        g.contents[h.id] = h.contents()
+        if h.succ_edgesets:
+            g.edgesets[h.id] = dict(h.succ_edgesets)
+        g.succ_reach[h.id] = dict(succ_reach.get(h.id, {}))
+    return g
 
 
 class LsmStructure(MulticopyStructure):
@@ -333,21 +337,6 @@ class LsmStructure(MulticopyStructure):
         keyspace_size: int,
         root_capacity: int,
         growth_factor: int = 2,
-        *,
-        flush_on_full: bool = True,
     ) -> "LsmStructure":
         root = NodeHandle(fresh_node_id(), ROOT_BUFFER, root_capacity)
-        return cls(
-            keyspace_size,
-            root.id,
-            [root],
-            growth_factor=growth_factor,
-            flush_on_full=flush_on_full,
-        )
-
-    def flush_root(self) -> None:
-        """Compact starting at the root; no-op while the root has room."""
-        self.compact(self._root)
-
-    def maintenance_pass(self) -> None:
-        self.flush_root()
+        return cls(keyspace_size, root.id, [root], growth_factor=growth_factor)

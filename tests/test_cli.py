@@ -81,6 +81,15 @@ def test_check_missing_file_fails_cleanly(tmp_path, capsys):
         ('{"keyspace_size": 4, "nodes": [0]}', "missing field 'root'"),
         ("[0]", "expected a JSON object"),
         ("garbage", "not JSON"),
+        ('{"keyspace_size": "abc", "root": 0, "nodes": [0]}', "keyspace_size must be an int"),
+        ('{"keyspace_size": 0, "root": 0, "nodes": [0]}', "keyspace_size must be positive"),
+        ('{"keyspace_size": -1, "root": 0, "nodes": [0]}', "keyspace_size must be positive"),
+        ('{"keyspace_size": 4, "root": [0], "nodes": [0]}', "node id must be an int"),
+        ('{"keyspace_size": 4, "root": 0, "nodes": ["0"]}', "node id must be an int"),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0], "contents": {"0": {"1": [5, "1"]}}}',
+            "ts must be an int",
+        ),
     ],
 )
 def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reason):
@@ -91,6 +100,7 @@ def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reas
     assert main(["check", str(snap), str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed snapshot: " + reason)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -100,6 +110,12 @@ def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reas
         ("[1]", "expected a JSON object"),
         ('{"op": "compact"}', "unknown op 'compact'"),
         ("garbage", "not JSON"),
+        (
+            '{"op": "upsert", "thread": 0, "key": 1, "value": 5, "ts": "1", "inv": 0, "resp": 1}',
+            "ts must be an int, got '1'",
+        ),
+        ('{"keyspace_size": -1}', "keyspace_size must be positive"),
+        ('{"keyspace_size": "abc"}', "keyspace_size must be an int"),
     ],
 )
 def test_check_malformed_trace_fails_cleanly(tmp_path, capsys, line, reason):
@@ -108,12 +124,15 @@ def test_check_malformed_trace_fails_cleanly(tmp_path, capsys, line, reason):
     assert main(STRESS_SMALL + ["--trace-out", str(trace), "--snapshot-out", snap]) == 0
     capsys.readouterr()
     lines = trace.read_text().splitlines()
-    lines[1] = line
+    # A header replaces the header line; anything else the first event.
+    lineno = 1 if "keyspace_size" in line else 2
+    lines[lineno - 1] = line
     trace.write_text("\n".join(lines) + "\n")
     assert main(["check", snap, str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed trace: " + reason)
-    assert err.rstrip().endswith("at line 2")
+    assert err.rstrip().endswith(f"at line {lineno}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_stress_json_output(capsys):

@@ -35,7 +35,7 @@ def test_sequential_ops_match_dict_oracle():
 
 
 def test_flush_always_empties_the_buffer():
-    s = DfStructure.create(keyspace_size=8, root_capacity=8, flush_on_full=False)
+    s = DfStructure.create(keyspace_size=8, root_capacity=8)
     s.flush()  # flushing an empty buffer is legal
     for k in range(8):
         s.upsert(k, k * 10)

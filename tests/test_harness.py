@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from multicopy import harness
 from multicopy.core import MulticopyError
 from multicopy.harness import (
     PauseGate,
@@ -14,6 +15,7 @@ from multicopy.harness import (
     generate_ops,
     run_stress,
 )
+from multicopy.history import UpsertHistory
 from multicopy.lsm import LsmStructure
 
 
@@ -195,10 +197,15 @@ def test_stress_df_structure():
     assert report.final_nodes == 2
 
 
-def test_bench_mode_skips_recording():
-    report = run_stress(
-        small_config(), record=False, online_checks=False, checkpoints=False
-    )
+def test_bench_mode_skips_recording(monkeypatch):
+    def checker_called(*args, **kwargs):
+        raise AssertionError("an unchecked run called a checker")
+
+    monkeypatch.setattr(UpsertHistory, "check_search_recency", checker_called)
+    monkeypatch.setattr(UpsertHistory, "verify_predicates", checker_called)
+    for name in ("check_invariants", "check_inv2_monotone", "linearize"):
+        monkeypatch.setattr(harness, name, checker_called)
+    report = run_stress(small_config(), checked=False)
     assert report.trace is None
     assert report.linearization is None
     assert report.checkpoints == []

@@ -117,6 +117,12 @@ def test_record_upsert_rejects_broken_timestamps():
         h.record_upsert(2, 1, 6)  # key outside the keyspace
 
 
+def test_history_rejects_a_bad_keyspace():
+    for bad in (0, -1, "4", 2.0, True):
+        with pytest.raises(MulticopyError, match="keyspace_size"):
+            UpsertHistory(bad)
+
+
 def test_snapshot_grows_with_appends():
     h = UpsertHistory(2)
     assert h.snapshot() == 0

@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 
 import pytest
 
@@ -78,14 +79,12 @@ def test_delete_is_an_upsert_of_the_tombstone():
 
 
 def test_flush_grows_a_doubling_chain():
-    s = LsmStructure.create(
-        keyspace_size=16, root_capacity=2, growth_factor=2, flush_on_full=False
-    )
+    s = LsmStructure.create(keyspace_size=16, root_capacity=2, growth_factor=2)
     s.upsert(0, 10)
     s.upsert(1, 11)
     root = s.handle(s.root_id)
     assert root.at_capacity()
-    s.flush_root()
+    s.compact()
     assert root.live_count() == 0
     ids = s.node_ids()
     assert len(ids) == 2
@@ -100,7 +99,7 @@ def test_flush_grows_a_doubling_chain():
     # continues at t1 and grows a fresh table of 8 behind it.
     s.upsert(2, 12)
     s.upsert(3, 13)
-    s.flush_root()
+    s.compact()
     caps = sorted(
         s.handle(i).capacity for i in s.node_ids() if i != s.root_id
     )
@@ -108,17 +107,17 @@ def test_flush_grows_a_doubling_chain():
     assert t1.live_count() == 0  # drained into the new sink
     s.upsert(4, 14)
     s.upsert(5, 15)
-    s.flush_root()  # now lands in the empty t1 without cascading further
+    s.compact()  # now lands in the empty t1 without cascading further
     assert t1.live_count() == 2 and len(s.node_ids()) == 3
     report = check_invariants(s.snapshot_graph(), s.history, s.clock)
     assert report.ok, report.format_text()
 
 
 def test_a_failing_merge_step_releases_both_locks():
-    s = LsmStructure.create(keyspace_size=16, root_capacity=2, flush_on_full=False)
+    s = LsmStructure.create(keyspace_size=16, root_capacity=2)
     for k in range(4):
         s.upsert(k, k)
-        s.flush_root()  # root -> t1 (cap 4) -> t2 (cap 8) by the fourth
+        s.compact()  # root -> t1 (cap 4) -> t2 (cap 8) by the fourth
     root, (t1, t2) = s.root_id, sorted(set(s.node_ids()) - {s.root_id})
     assert list(s.handle(root).succ_edgesets) == [t1]
     s.upsert(8, 80)
@@ -132,9 +131,9 @@ def test_a_failing_merge_step_releases_both_locks():
     assert [v["reason"] for v in s.lock_order_violations] == [
         "second lock is not a successor of the first"
     ]
-    s.flush_root()
+    s.compact()
     s.upsert(10, 100)
-    s.flush_root()
+    s.compact()
     assert [s.search(k) for k in (0, 8, 9, 10)] == [0, 80, 90, 100]
     assert check_invariants(s.snapshot_graph(), s.history, s.clock).ok
 
@@ -153,7 +152,8 @@ def test_chain_stays_a_list_with_growing_capacities():
 
 
 def test_full_root_stalls_upserts_until_someone_flushes():
-    s = LsmStructure.create(keyspace_size=4, root_capacity=1, flush_on_full=False)
+    s = LsmStructure.create(keyspace_size=4, root_capacity=1)
+    s.set_on_root_full(lambda: time.sleep(1e-4))  # wait for room, make none
     s.upsert(0, 5)
     got = {}
 
@@ -164,7 +164,7 @@ def test_full_root_stalls_upserts_until_someone_flushes():
     th.start()
     th.join(timeout=0.25)
     assert th.is_alive(), "upsert should spin while the root is full"
-    s.flush_root()
+    s.compact()
     th.join(timeout=5)
     assert not th.is_alive()
     assert got["ts"] == 2
@@ -172,7 +172,8 @@ def test_full_root_stalls_upserts_until_someone_flushes():
 
 
 def test_overwrites_never_stall_even_at_a_full_root():
-    s = LsmStructure.create(keyspace_size=4, root_capacity=1, flush_on_full=False)
+    s = LsmStructure.create(keyspace_size=4, root_capacity=1)
+    s.set_on_root_full(lambda: pytest.fail("an overwrite found the root full"))
     s.upsert(2, 1)
     for v in range(2, 8):
         s.upsert(2, v)  # same key: overwrite, no room needed
@@ -236,13 +237,11 @@ def test_concurrent_hammering_stays_sound():
 
 
 def test_tombstones_survive_flushing():
-    s = LsmStructure.create(
-        keyspace_size=8, root_capacity=2, flush_on_full=False
-    )
+    s = LsmStructure.create(keyspace_size=8, root_capacity=2)
     s.upsert(0, 1)
     s.delete(0)  # overwrite: root holds only the tombstone now
     s.upsert(1, 2)
-    s.flush_root()
+    s.compact()
     assert is_tombstone(s.search(0))
     disk = next(i for i in s.node_ids() if i != s.root_id)
     assert is_tombstone(s.handle(disk).in_contents(0).value)

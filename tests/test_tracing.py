@@ -78,20 +78,20 @@ def test_instrument_hooks_every_layer_and_restore_undoes_it(tracing):
         assert _changed(before) == HOOKS
 
         # An lsm compaction: root of 4 over fresh sinks of 8 and 16.
-        s = LsmStructure.create(64, 4, 2, flush_on_full=False)
+        s = LsmStructure.create(64, 4, 2)
         for k in range(4):
             s.upsert(k, k)
-        s.flush_root()  # 4 records into a new sink
+        s.compact()  # 4 records into a new sink
         for k in range(4, 8):
             s.upsert(k, k)
-        s.flush_root()  # 4 more, filling the sink; it cascades all 8
+        s.compact()  # 4 more, filling the sink; it cascades all 8
         assert s.search(0) == 0
         lsm_moved = [x.items for x in tracer.spans if x.name == "nodes.merge"]
         assert lsm_moved == [4, 4, 8]
         assert [s.handle(n).live_count() for n in s.node_ids()] == [0, 0, 8]
 
         # A df flush of a half-full buffer: one merge of its 5 records.
-        d = DfStructure.create(64, 8, flush_on_full=False)
+        d = DfStructure.create(64, 8)
         for k in range(5):
             d.upsert(k, k)
         d.flush()
