@@ -6,6 +6,7 @@ behind it. The single edge owns the whole keyspace, so a search is: check
 the buffer, else check the table, else report the key deleted. Since the
 table is unbounded a flush always empties the buffer completely, and every
 buffered copy is strictly newer than the table's copy of the same key.
+The table is not stored apart: it is read off the root's one edge.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .nodes import (
 class DfStructure(MulticopyStructure):
     """Two fixed nodes; searches and upserts come from the shared engine."""
 
-    def __init__(self, *args, disk_id: NodeId, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._disk = disk_id
-
     @classmethod
     def create(
         cls,
@@ -38,11 +35,13 @@ class DfStructure(MulticopyStructure):
         root = NodeHandle(fresh_node_id(), ROOT_BUFFER, root_capacity)
         disk = NodeHandle(fresh_node_id(), SORTED_TABLE, capacity=None)
         root.succ_edgesets[disk.id] = frozenset(range(keyspace_size))
-        return cls(keyspace_size, root.id, [root, disk], disk_id=disk.id)
+        return cls(keyspace_size, root.id, [root, disk])
 
     @property
     def disk_id(self) -> NodeId:
-        return self._disk
+        """The table: the root's only successor."""
+        (disk,) = self._handles[self._root].succ_edgesets
+        return disk
 
     def flush(self) -> None:
         """Move everything buffered at the root down to the table.
@@ -50,7 +49,7 @@ class DfStructure(MulticopyStructure):
         Unlike the DAG compaction this is not gated on capacity: flushing a
         half-empty (or empty) buffer is legal and sometimes useful.
         """
-        self._merge_down(self._root, lambda n: self._disk)
+        self._merge_down(self._root, lambda n: self.disk_id)
 
     def maintenance_pass(self) -> None:
         self.flush()

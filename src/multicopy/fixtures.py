@@ -3,7 +3,9 @@
 Four deterministic scenarios exercise the machinery end to end and double as
 executable documentation. Keys are named k1..k4 (ids 0..3) and letter values
 map a=1 b=2 c=3 d=4; a few scenarios use value == timestamp to make the
-pictures easy to follow.
+pictures easy to follow. Each scenario builds an LsmStructure over hand-made
+nodes and an upsert history, which fix its clock and succ_reach, and steps it
+with the template's own merge step and snapshot.
 
   list-compaction: a four-node list store. Replays a root flush (the root's
         single record overwrites the node below) and a mid-list compaction
@@ -13,10 +15,11 @@ pictures easy to follow.
         checks the reach computations, search results including a
         never-written key, and that the full invariant suite passes on a
         healthy snapshot.
-  unsound-merges: a three-node diamond that breaks the DAG rules on purpose:
-        node insets stop covering reach (step 1), an edge carries a newer
-        copy below an older one (step 2), and a newer copy is overwritten by
-        an older one outright (steps 1 to 4). The checker must name each.
+  unsound-merges: a three-node diamond whose merge steps break the DAG
+        rules on purpose: node insets stop covering reach (step 1), an
+        edge carries a newer copy below an older one (step 2), and a newer
+        copy is overwritten by an older one outright (steps 1 to 4). The
+        checker must name each.
   cascade-split: a three-node list at capacity. One compaction pass
         cascades: the root empties into the middle node, which splits its
         keys off into a freshly allocated sink. The root's reach is
@@ -26,14 +29,14 @@ pictures easy to follow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .checker import check_inv2_monotone, check_invariants
-from .core import TOMBSTONE, TimedValue, val_projection
-from .graph import MulticopyGraph, derive_succ_reach, reach_maps
+from .core import TOMBSTONE, Key, TimedValue, Timestamp, Value, val_projection
+from .graph import MulticopyGraph, reach_maps
 from .history import UpsertHistory
-from .lsm import LsmStructure, graph_of
-from .nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE, merge_contents
+from .lsm import LsmStructure
+from .nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE
 
 K1, K2, K3, K4 = 0, 1, 2, 3
 VA, VB, VC, VD = 1, 2, 3, 4
@@ -72,25 +75,26 @@ class FixtureReport:
         return "\n".join(lines)
 
 
-def _list_history(keyspace_size: int) -> UpsertHistory:
-    # The upsert sequence that produces the four-node list scenarios:
-    # timestamps 1..7 over keys k1..k3.
-    h = UpsertHistory(keyspace_size)
-    for key, value, ts in [
-        (K3, VB, 1),
-        (K1, VC, 2),
-        (K2, VA, 3),
-        (K3, VC, 4),
-        (K2, VB, 5),
-        (K1, TOMBSTONE, 6),
-        (K2, VD, 7),
-    ]:
+def _structure(
+    ks: int,
+    handles: list[NodeHandle],
+    edges: list[tuple[NodeHandle, NodeHandle, Iterable[Key]]],
+    upserts: list[tuple[Key, Value, Timestamp]],
+) -> LsmStructure:
+    """A structure over hand-built nodes, the first of them the root. Its
+    history holds the given upserts; the structure works out its clock and
+    succ_reach from them and the nodes."""
+    for src, dst, keys in edges:
+        src.succ_edgesets[dst.id] = frozenset(keys)
+    h = UpsertHistory(ks)
+    for key, value, ts in upserts:
         h.record_upsert(key, value, ts)
-    return h
+    return LsmStructure(ks, handles[0].id, handles, history=h)
 
 
 def _list_structure(root_capacity: int, n1_capacity: int) -> tuple[LsmStructure, list[int]]:
-    """The shared four-node list: root holding (k2,d) over three tables."""
+    """The shared four-node list: root holding (k2,d) over three tables,
+    produced by timestamps 1..7 over keys k1..k3."""
     ks = 4
     r = NodeHandle(100, ROOT_BUFFER, root_capacity,
                    {K2: TimedValue(VD, 7)})
@@ -100,16 +104,12 @@ def _list_structure(root_capacity: int, n1_capacity: int) -> tuple[LsmStructure,
                     {K2: TimedValue(VA, 3), K3: TimedValue(VC, 4)})
     n3 = NodeHandle(103, SORTED_TABLE, 4,
                     {K1: TimedValue(VC, 2), K3: TimedValue(VB, 1)})
-    everything = frozenset(range(ks))
-    r.succ_edgesets[n1.id] = everything
-    n1.succ_edgesets[n2.id] = everything
-    n2.succ_edgesets[n3.id] = everything
     handles = [r, n1, n2, n3]
-    seed = derive_succ_reach(graph_of(ks, r.id, handles, {}))
-    s = LsmStructure(
-        ks, r.id, handles,
-        growth_factor=2, clock=8,
-        history=_list_history(ks), succ_reach=seed,
+    s = _structure(
+        ks, handles,
+        [(r, n1, range(ks)), (n1, n2, range(ks)), (n2, n3, range(ks))],
+        [(K3, VB, 1), (K1, VC, 2), (K2, VA, 3), (K3, VC, 4),
+         (K2, VB, 5), (K1, TOMBSTONE, 6), (K2, VD, 7)],
     )
     return s, [h.id for h in handles]
 
@@ -203,44 +203,29 @@ def replay_list_search() -> FixtureReport:
     return report
 
 
-def _diamond_state() -> tuple[list[NodeHandle], dict, UpsertHistory]:
+def replay_unsound_merges() -> FixtureReport:
+    report = FixtureReport("unsound-merges")
     # Diamond: root n routes k1 to p and k2 to m; p routes both to m.
     # Values equal timestamps.
-    ks = 2
     n = NodeHandle(200, ROOT_BUFFER, None,
                    {K1: TimedValue(5, 5), K2: TimedValue(6, 6)})
     p = NodeHandle(201, SORTED_TABLE, None,
                    {K1: TimedValue(3, 3), K2: TimedValue(4, 4)})
     m = NodeHandle(202, SORTED_TABLE, None,
                    {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
-    n.succ_edgesets[p.id] = frozenset({K1})
-    n.succ_edgesets[m.id] = frozenset({K2})
-    p.succ_edgesets[m.id] = frozenset({K1, K2})
     handles = [n, p, m]
-    q = derive_succ_reach(graph_of(ks, n.id, handles, {}))
-    h = UpsertHistory(ks)
-    for key, ts in [(K2, 1), (K1, 2), (K1, 3), (K2, 4), (K1, 5), (K2, 6)]:
-        h.record_upsert(key, ts, ts)
-    return handles, q, h
+    s = _structure(
+        2, handles,
+        [(n, p, {K1}), (n, m, {K2}), (p, m, {K1, K2})],
+        [(k, t, t) for k, t in [(K2, 1), (K1, 2), (K1, 3), (K2, 4), (K1, 5), (K2, 6)]],
+    )
 
-
-def replay_unsound_merges() -> FixtureReport:
-    report = FixtureReport("unsound-merges")
-    handles, q, h = _diamond_state()
-    n, p, m = handles
-    clock = 7
-    ks = 2
-
-    def snap() -> MulticopyGraph:
-        return graph_of(ks, n.id, handles, q)
-
-    def do_merge(src: NodeHandle, dst: NodeHandle) -> None:
-        q[src.id].update(merge_contents(src, dst))
-
-    states = [snap()]
+    # The template's own merge step, pointed along edges that the DAG
+    # rules forbid using in this order.
+    states = [s.snapshot_graph()]
     for src, dst in [(n, m), (n, p), (p, m)]:
-        do_merge(src, dst)
-        states.append(snap())
+        s._merge_down(src.id, lambda _: dst.id)
+        states.append(s.snapshot_graph())
 
     report.expect_eq(
         "step 1 state",
@@ -263,7 +248,7 @@ def replay_unsound_merges() -> FixtureReport:
         [{}, {}, {K1: 5, K2: 4}],
     )
 
-    reports = [check_invariants(g, h, clock) for g in states]
+    reports = [check_invariants(g, s.history, s.clock) for g in states]
 
     r1 = reports[0]
     ws = r1.entry("inv7_reach_within_inset").witnesses
@@ -324,20 +309,12 @@ def replay_cascade_split() -> FixtureReport:
                    {K1: TimedValue(3, 3), K4: TimedValue(4, 4)})
     c = NodeHandle(302, SORTED_TABLE, 2,
                    {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
-    a.succ_edgesets[b.id] = frozenset(range(ks))
-    b.succ_edgesets[c.id] = frozenset({K1, K2})
-    handles = [a, b, c]
-    seed = derive_succ_reach(graph_of(ks, a.id, handles, {}))
-
-    h = UpsertHistory(ks)
-    for key, ts in [
-        (K2, 1), (K1, 2), (K1, 3), (K4, 4),
-        (K2, 5), (K3, 6), (K1, 7), (K4, 8),
-    ]:
-        h.record_upsert(key, ts, ts)
-
-    s = LsmStructure(ks, a.id, handles, growth_factor=2,
-                     clock=9, history=h, succ_reach=seed)
+    s = _structure(
+        ks, [a, b, c],
+        [(a, b, range(ks)), (b, c, {K1, K2})],
+        [(k, t, t) for k, t in [(K2, 1), (K1, 2), (K1, 3), (K4, 4),
+                                (K2, 5), (K3, 6), (K1, 7), (K4, 8)]],
+    )
 
     full_view = {
         K1: TimedValue(7, 7), K2: TimedValue(5, 5),

@@ -275,13 +275,15 @@ def inset_map(g: MulticopyGraph) -> dict[NodeId, frozenset[Key]]:
 def derive_succ_reach(g: MulticopyGraph) -> dict[NodeId, dict[Key, TimedValue]]:
     """Consistent ghost state for a hand-built graph: record, for every key a
     node routes somewhere, the copy actually reachable at the chosen
-    successor. A live structure maintains these records incrementally at
-    merges; rebuilding a mid-life snapshot from data needs them seeded."""
+    successor. A structure built over given nodes starts from these records
+    and then maintains them incrementally at merges."""
+    # A key no node stores is reachable nowhere, so it is never recorded.
+    stored = set().union(*g.contents.values())
     out: dict[NodeId, dict[Key, TimedValue]] = {}
     for n in g.nodes:
         view: dict[Key, TimedValue] = {}
         for m, ks in g.successors(n).items():
-            for k in ks:
+            for k in ks.intersection(stored):
                 tv = contents_in_reach(g, m, k)
                 if tv is not None:
                     view[k] = tv
@@ -338,7 +340,9 @@ def graph_from_json(obj: dict) -> MulticopyGraph:
         for n_s, c in obj.get("contents", {}).items():
             g.contents[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in c.items()}
         for n, m, ks in obj.get("edgesets", []):
-            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(ks)
+            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(
+                int_field(k, "key") for k in ks
+            )
         for n_s, sr in obj.get("succ_reach", {}).items():
             g.succ_reach[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in sr.items()}
     except KeyError as e:

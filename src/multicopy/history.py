@@ -316,7 +316,10 @@ class Trace:
                         keyspace_size = obj["keyspace_size"]
                         check_keyspace(keyspace_size)
                         continue
-                    events.append(event_from_json(obj))
+                    event = event_from_json(obj)
+                    if keyspace_size is not None:
+                        check_key(event.key, keyspace_size)
+                    events.append(event)
                 except MulticopyError as e:
                     raise MulticopyError(f"malformed trace: {e} at line {n}") from None
         if keyspace_size is None:
@@ -327,15 +330,20 @@ class Trace:
     def rebuild_history(self) -> tuple[UpsertHistory, Timestamp]:
         """Reconstruct the upsert log (and clock) this trace implies.
 
-        Upserts are replayed in timestamp order; duplicate or non-positive
-        timestamps surface as HistoryCorruptionError, which is exactly what a
-        tampered trace deserves.
+        Upserts are replayed in timestamp order. The structure hands out
+        timestamps 1, 2, 3, ... without gaps, so a gap, a duplicate or a
+        non-positive timestamp raises HistoryCorruptionError, which is
+        exactly what a tampered trace deserves.
         """
         h = UpsertHistory(self.keyspace_size)
-        for e in sorted(self.upserts(), key=lambda e: e.ts):
+        for i, e in enumerate(sorted(self.upserts(), key=lambda e: e.ts), 1):
+            if e.ts != i:
+                raise HistoryCorruptionError(
+                    f"upsert timestamp {e.ts} follows {i - 1}; "
+                    "timestamps must run 1, 2, 3, ... without gaps"
+                )
             h.record_upsert(e.key, e.value, e.ts)
-        clock = (h.max_published_ts() + 1) if len(h) else 1
-        return h, clock
+        return h, h.max_published_ts() + 1
 
 
 def event_from_json(obj: object) -> TraceEvent:

@@ -26,6 +26,10 @@ deliberately skimpy:
       one _merge_down call; DfStructure.flush is the same step with its
       table as the fixed target and no capacity gate.
 
+A structure is built over given nodes and the upsert history that filled
+them, which fix the rest: the clock continues after the newest timestamp, and
+each node's succ_reach starts as the copies its successors hold.
+
 LsmStructure specializes the template to the log-structured shape: a small
 root and a chain of exponentially growing tables that appears as compaction
 pushes records down.
@@ -49,7 +53,7 @@ from .core import (
     route,
     routed_keys,
 )
-from .graph import MulticopyGraph
+from .graph import MulticopyGraph, derive_succ_reach
 from .history import UpsertHistory
 from .nodes import (
     NodeHandle,
@@ -72,6 +76,13 @@ class SearchProbe:
     snap: int
 
 
+class _HeldLocks(threading.local):
+    """The locks the current thread holds, in acquisition order."""
+
+    def __init__(self):
+        self.nodes: list[NodeId] = []
+
+
 class MulticopyStructure:
     """Shared engine: per-node locks, clock, history, ghost succ_reach."""
 
@@ -82,9 +93,7 @@ class MulticopyStructure:
         handles: Iterable[NodeHandle],
         *,
         growth_factor: int = 2,
-        clock: Timestamp = 1,
         history: Optional[UpsertHistory] = None,
-        succ_reach: Optional[dict[NodeId, dict[Key, TimedValue]]] = None,
     ):
         check_keyspace(keyspace_size)
         if growth_factor < 1:
@@ -100,29 +109,22 @@ class MulticopyStructure:
         self._locks: dict[NodeId, threading.Lock] = {
             i: threading.Lock() for i in self._handles
         }
-        self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = {
-            i: dict((succ_reach or {}).get(i, {})) for i in self._handles
-        }
-        self._clock = clock
-        self._all_keys: Optional[frozenset[Key]] = None
+        self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(
+            graph_of(keyspace_size, root, self._handles.values(), {})
+        )
         self.history = history if history is not None else UpsertHistory(keyspace_size)
+        self._clock = self.history.max_published_ts() + 1
+        self._all_keys: Optional[frozenset[Key]] = None
         # Runs (lock-free) after a failed root append.
         self._on_root_full: Callable[[], None] = self.maintenance_pass
-        self._held = threading.local()
+        self._held = _HeldLocks()
         self.lock_order_violations: list[dict] = []
         self._viol_lock = threading.Lock()
 
     # --- locking with order instrumentation --------------------------------
 
-    def _held_list(self) -> list[NodeId]:
-        lst = getattr(self._held, "nodes", None)
-        if lst is None:
-            lst = []
-            self._held.nodes = lst
-        return lst
-
     def _acquire(self, nid: NodeId) -> None:
-        held = self._held_list()
+        held = self._held.nodes
         if held:
             # Only compaction holds two locks, and only parent then child.
             bad = None
@@ -144,7 +146,7 @@ class MulticopyStructure:
         held.append(nid)
 
     def _release(self, nid: NodeId) -> None:
-        self._held_list().remove(nid)
+        self._held.nodes.remove(nid)
         self._locks[nid].release()
 
     # --- public metadata ----------------------------------------------------
@@ -274,7 +276,7 @@ class MulticopyStructure:
         finally:
             # Parent before child, on every exit path.
             self._release(nid)
-            if m_id in self._held_list():
+            if m_id in self._held.nodes:
                 self._release(m_id)
         return m_id
 

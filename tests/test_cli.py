@@ -90,6 +90,10 @@ def test_check_missing_file_fails_cleanly(tmp_path, capsys):
             '{"keyspace_size": 4, "root": 0, "nodes": [0], "contents": {"0": {"1": [5, "1"]}}}',
             "ts must be an int",
         ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, ["0", "1"]]]}',
+            "key must be an int, got '0'",
+        ),
     ],
 )
 def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reason):
@@ -113,6 +117,10 @@ def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reas
         (
             '{"op": "upsert", "thread": 0, "key": 1, "value": 5, "ts": "1", "inv": 0, "resp": 1}',
             "ts must be an int, got '1'",
+        ),
+        (
+            '{"op": "upsert", "thread": 0, "key": 99, "value": 5, "ts": 1, "inv": 0, "resp": 1}',
+            "key 99 outside keyspace [0, 16)",
         ),
         ('{"keyspace_size": -1}', "keyspace_size must be positive"),
         ('{"keyspace_size": "abc"}', "keyspace_size must be an int"),

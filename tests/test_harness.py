@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from multicopy import harness
-from multicopy.core import MulticopyError
+from multicopy.core import TOMBSTONE, MulticopyError, route
 from multicopy.harness import (
     PauseGate,
     WorkloadConfig,
@@ -16,7 +16,7 @@ from multicopy.harness import (
     run_stress,
 )
 from multicopy.history import UpsertHistory
-from multicopy.lsm import LsmStructure
+from multicopy.lsm import LsmStructure, MulticopyStructure, SearchProbe
 
 
 def small_config(**kw):
@@ -121,6 +121,37 @@ def test_stress_run_reports_clean_and_complete():
     obj = report.to_json()
     assert obj["ok"] is True and obj["total_ops"] == total
     assert "result: OK" in report.format_text()
+
+
+def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
+    def search_holding_path(self, key):
+        # Takes the next node's lock before letting go of the current one,
+        # and lets go of all of them only when it returns.
+        snap = self.history.snapshot()
+        nid = self.root_id
+        self._acquire(nid)
+        try:
+            while True:
+                h = self.handle(nid)
+                tv = h.in_contents(key)
+                if tv is not None:
+                    return SearchProbe(tv.value, tv.ts, snap)
+                nid = route(h.succ_edgesets, key, nid)
+                if nid is None:
+                    return SearchProbe(TOMBSTONE, 0, snap)
+                self._acquire(nid)
+        finally:
+            for held in list(self._held.nodes):
+                self._release(held)
+
+    monkeypatch.setattr(MulticopyStructure, "search_timed", search_holding_path)
+    report = run_stress(small_config(
+        threads=1, keyspace_size=64, root_capacity=4, maintenance="on-fail",
+        checkpoint_every=0, ops_per_thread=400, seed=1,
+    ))
+    assert not report.ok
+    assert report.lock_order_violations
+    assert {v["reason"] for v in report.lock_order_violations} == {"more than two locks"}
 
 
 @pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
@@ -257,3 +288,18 @@ def test_check_files_rejects_a_trace_with_duplicate_timestamps(tmp_path):
     ok, out = check_files(snap_path, trace_path)
     assert not ok
     assert "error" in out and "valid history" in out["error"]
+
+
+def test_check_files_rejects_a_trace_with_a_missing_upsert(tmp_path):
+    trace_path = str(tmp_path / "trace.jsonl")
+    snap_path = str(tmp_path / "snapshot.json")
+    run_stress(small_config(), trace_out=trace_path, snapshot_out=snap_path)
+    lines = Path(trace_path).read_text().splitlines()
+    events = [json.loads(l) for l in lines]
+    del lines[next(i for i, e in enumerate(events) if e.get("op") == "upsert" and e["ts"] == 1)]
+    Path(trace_path).write_text("\n".join(lines) + "\n")
+    ok, out = check_files(snap_path, trace_path)
+    assert not ok
+    assert out["error"].startswith(
+        "trace does not form a valid history: upsert timestamp 2 follows 0"
+    )

@@ -4,6 +4,11 @@ graph.py, checker.py and history.py read snapshots, histories and traces
 only. If they imported the node, template or harness code, a bug there could
 hide itself by being shared with its own check. core.py, which holds the
 domain types and the routing rule, is the one module both sides use.
+
+In the other direction, the template (core.py, nodes.py, lsm.py, df.py)
+imports nothing that drives or checks it: not the checker, the stress
+harness, the bundled scenarios or the command line. It may use graph.py and
+history.py for its snapshots and its upsert log.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import multicopy
 PACKAGE = Path(multicopy.__file__).parent
 CHECKING_SIDE = ("graph", "checker", "history")
 STRUCTURE_SIDE = {"nodes", "lsm", "df", "harness"}
+TEMPLATE = ("core", "nodes", "lsm", "df")
+TEMPLATE_USERS = {"checker", "harness", "fixtures", "cli"}
 
 
 def package_imports(source: str) -> set[str]:
@@ -54,3 +61,9 @@ def test_checking_side_imports_nothing_from_the_structure():
         imported = package_imports((PACKAGE / f"{module}.py").read_text())
         assert "core" in imported, module
         assert not imported & STRUCTURE_SIDE, (module, sorted(imported & STRUCTURE_SIDE))
+
+
+def test_template_imports_nothing_that_drives_or_checks_it():
+    for module in TEMPLATE:
+        imported = package_imports((PACKAGE / f"{module}.py").read_text())
+        assert not imported & TEMPLATE_USERS, (module, sorted(imported & TEMPLATE_USERS))
