@@ -54,5 +54,5 @@ class DfStructure(MulticopyStructure):
     def maintenance_pass(self) -> None:
         self.flush()
 
-    def compact(self, *args, **kwargs) -> None:
+    def compact(self) -> None:
         raise MulticopyError("differential-file structure flushes; it does not compact")

@@ -20,10 +20,11 @@ with the template's own merge step and snapshot.
         edge carries a newer copy below an older one (step 2), and a newer
         copy is overwritten by an older one outright (steps 1 to 4). The
         checker must name each.
-  cascade-split: a three-node list at capacity. One compaction pass
-        cascades: the root empties into the middle node, which splits its
-        keys off into a freshly allocated sink. The root's reach is
-        identical before, between and after.
+  cascade-split: a three-node list at capacity. Two merge steps replay a
+        cascading pass: the root empties into the middle node, which then
+        splits its keys off into a freshly allocated sink instead of
+        merging into the node below. The root's reach is identical before,
+        between and after.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def replay_list_compaction() -> FixtureReport:
 
     # Transition two: compact the first table into the second.
     s, (r, n1, n2, n3) = _list_structure(root_capacity=2, n1_capacity=2)
-    s.compact(n1)
+    s._merge_down(n1, lambda _: n2)
     g = s.snapshot_graph()
     report.expect_eq("compact: source drained", val_projection(g.contents[n1]), {})
     report.expect_eq(
@@ -325,12 +326,16 @@ def replay_cascade_split() -> FixtureReport:
 
     # The replayed pass first drains the root into b, then has b grow a
     # fresh sink instead of merging into c. The default policy would pick
-    # c (it covers live keys); the scripted chooser forces the other branch.
-    def chooser(handle: NodeHandle):
-        states.append(s.snapshot_graph())
-        return b.id if handle.id == a.id else None
+    # c (it covers live keys); the scripted steps force the other branch.
+    # Each step snapshots the structure as it picks its child.
+    def snapshot_then(pick: Callable[[NodeHandle], int]):
+        def target(n: NodeHandle) -> int:
+            states.append(s.snapshot_graph())
+            return pick(n)
+        return target
 
-    s.compact(chooser=chooser)
+    s._merge_down(a.id, snapshot_then(lambda _: b.id))
+    s._merge_down(b.id, snapshot_then(s._grow_sink))
     states.append(s.snapshot_graph())
     # states: initial, at-root choice, at-b choice (post root merge), final.
 

@@ -1,17 +1,19 @@
 """Stress harness: concurrent workloads with online and offline checking.
 
 A run spawns worker threads that execute deterministic per-thread op streams
-(derived from the seed) against a fresh structure, while an optional
-maintenance thread flushes periodically and whenever a writer finds the
-root full. In a checked run (the default) every search is checked online
-against the history the moment it returns. Checkpoints are requested at
-their marks: the worker whose op completes every checkpoint_every * threads
-ops asks for a pause, all participants park at a gate (between operations,
-or while waiting holding no node lock), and the coordinating thread
-snapshots the structure, runs the full invariant suite plus cross-snapshot
-monotonicity, and resumes. At the end the recorded trace must linearize and
-the history predicates must hold. An unchecked run does none of this; it
-only runs the ops and times them.
+(derived from the seed) against a fresh structure. The thread that called
+run_stress is the run's only background thread: it waits at the gate for its
+next job and does it. A job is a checkpoint, a maintenance pass a writer asked
+for because it found the root full, or, in periodic mode, a pass because the
+interval ended. In a checked run (the default) every search is checked online
+against the history the moment it returns. Checkpoints are requested at their
+marks: the worker whose op completes every checkpoint_every * threads ops asks
+for a pause, every worker parks at the gate (between operations, or while
+waiting holding no node lock), and the calling thread snapshots the
+structure, runs the full invariant suite plus cross-snapshot monotonicity,
+and resumes. At the end the recorded trace must linearize and the history
+predicates must hold. An unchecked run does none of this; it only runs the
+ops and times them.
 
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
@@ -79,15 +81,18 @@ class WorkloadConfig:
             raise MulticopyError(f"structure must be lsm or df, got {self.structure!r}")
         if self.threads < 1 or self.ops_per_thread < 0:
             raise MulticopyError("threads must be >= 1 and ops_per_thread >= 0")
+        if self.checkpoint_every < 0:
+            raise MulticopyError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         _parse_maintenance(self.maintenance)
 
     def to_json(self) -> dict:
         return dict(dataclasses.asdict(self), mix=list(self.mix))
 
 
-def _parse_maintenance(spec: str) -> tuple[str, float]:
+def _parse_maintenance(spec: str) -> tuple[str, Optional[float]]:
+    """The mode and, for periodic, its interval in seconds."""
     if spec in ("on-fail", "off"):
-        return spec, 0.0
+        return spec, None
     if spec == "periodic":
         return "periodic", 0.002
     if spec.startswith("periodic:"):
@@ -130,24 +135,25 @@ def generate_ops(config: WorkloadConfig, thread_id: int) -> list[tuple]:
 class PauseGate:
     """Where the threads of a run meet, under one lock.
 
-    Participants (the workers and the flusher) are registered before their
+    The participants are the workers. They are registered before their
     threads start and deregister when they end. A participant parks at the
-    gate between operations (wait_if_paused), and also while it idles
-    holding no node lock: a writer waiting for a maintenance pass, or the
-    flusher waiting for work. pause() returns once every registered
-    participant is parked, which is what makes a checkpoint quiescent
-    without touching any node lock, and nobody leaves the gate until
-    resume().
+    gate between operations (wait_if_paused), and also while it waits for a
+    maintenance pass holding no node lock (await_pass). pause() returns once
+    every registered participant is parked, which is what makes a checkpoint
+    quiescent without touching any node lock, and nobody leaves the gate
+    until resume().
 
-    A worker whose op reaches a checkpoint mark calls request_pause(); the
-    coordinating thread waits for that in next_checkpoint(). A writer that
-    finds the root full calls await_pass(), which wakes the flusher waiting
-    in await_work(); pass_done() wakes the writer.
+    The thread that called run_stress is not a participant. It waits in
+    next_job() for the next thing to do: a checkpoint, which a worker whose
+    op reaches a mark asks for with request_pause(); a pass, which a writer
+    that finds the root full asks for with await_pass() and is woken from by
+    pass_done(); or, in periodic mode, the end of the interval. One thread
+    does both kinds of job, so a checkpoint never overlaps a pass.
 
-    Participants wait on one condition, so a pass request, a resume or
-    stop() wakes the flusher at once. The coordinating thread waits on a
-    second condition over the same lock, so that the handoffs between
-    writers and the flusher do not wake it.
+    Participants wait on one condition and the calling thread on a second
+    one over the same lock, so that neither side's wake-ups disturb the
+    other. stop() lifts a pending pause, ignores later requests and makes
+    writers that wait for a pass raise.
     """
 
     def __init__(self):
@@ -202,8 +208,8 @@ class PauseGate:
 
     def request_pause(self) -> None:
         """A checkpoint mark was reached: stop the workers at their next
-        wait_if_paused and wake the coordinator. Ignored after stop(), when
-        the coordinator may no longer be waiting for it."""
+        wait_if_paused and wake the calling thread. Ignored after stop(),
+        when nobody takes checkpoints any more."""
         with self._cond:
             if self._stopped:
                 return
@@ -211,35 +217,34 @@ class PauseGate:
             self._pausing = True
             self._coordinator.notify_all()
 
-    def next_checkpoint(self, background: int) -> bool:
-        """Wait until a checkpoint is requested (True), or until at most
-        `background` participants remain registered, e.g. the flusher
-        once every worker has ended (False)."""
+    def next_job(self, interval: Optional[float]) -> Optional[str]:
+        """The calling thread's next job: "checkpoint" when a mark was
+        reached (first, as writers that want a pass are parked), "pass" when
+        a writer wants one or interval (None: never) has passed, and None
+        once every participant has ended."""
         with self._cond:
-            self._coordinator.wait_for(lambda: self._requests or self._active <= background)
-            if not self._requests:
-                return False
-            self._requests -= 1
-            return True
+            self._coordinator.wait_for(
+                lambda: self._requests or self._pass_wanted or not self._active,
+                interval,
+            )
+            if self._requests:
+                self._requests -= 1
+                return "checkpoint"
+            if not self._active:
+                return None
+            self._pass_wanted = False
+            return "pass"
 
     def await_pass(self, timeout: float) -> None:
-        """Ask the flusher for a maintenance pass and park until one ends,
-        for at most timeout seconds. Raises once the flusher has stopped."""
+        """Ask for a maintenance pass and park until one ends, for at most
+        timeout seconds. Raises once the gate has stopped."""
         with self._cond:
             seen = self._passes
             self._pass_wanted = True
-            self._cond.notify_all()
+            self._coordinator.notify_all()
             self._park(lambda: self._passes != seen or self._stopped, timeout)
             if self._stopped:
-                raise MulticopyError("the flusher has stopped; nothing makes room at the root")
-
-    def await_work(self, interval: float) -> bool:
-        """The flusher parks until a writer wants a pass or interval has
-        passed; False once stop() was called."""
-        with self._cond:
-            self._park(lambda: self._pass_wanted or self._stopped, interval)
-            self._pass_wanted = False
-            return not self._stopped
+                raise MulticopyError("maintenance has stopped; nothing makes room at the root")
 
     def pass_done(self) -> None:
         with self._cond:
@@ -249,6 +254,7 @@ class PauseGate:
     def stop(self) -> None:
         with self._cond:
             self._stopped = True
+            self._pausing = False
             self._cond.notify_all()
 
 
@@ -424,7 +430,7 @@ def run_stress(
     thread_errors: list[Exception] = []
     # A checkpoint is requested by the worker whose op completes a mark;
     # marks at or past the last op are left to the final checkpoint.
-    step = max(config.checkpoint_every, 0) * config.threads if checked else 0
+    step = config.checkpoint_every * config.threads if checked else 0
     total = config.threads * config.ops_per_thread
     completed = itertools.count(1)
 
@@ -481,24 +487,10 @@ def run_stress(
         finally:
             gate.deregister()
 
-    def flusher() -> None:
-        try:
-            while gate.await_work(interval):
-                structure.maintenance_pass()
-                gate.pass_done()
-        except Exception as e:
-            thread_errors.append(e)
-            gate.stop()  # so that writers waiting for room fail, not wait forever
-        finally:
-            gate.deregister()
-
     threads = [
         threading.Thread(target=worker, args=(tid,), name=f"worker-{tid}")
         for tid in range(config.threads)
     ]
-    flusher_thread = (
-        threading.Thread(target=flusher, name="flusher") if mode == "periodic" else None
-    )
 
     prev_graph: Optional[MulticopyGraph] = None
 
@@ -519,24 +511,24 @@ def run_stress(
                 gate.resume()
 
     started = time.monotonic()
-    participants = threads + ([flusher_thread] if flusher_thread else [])
-    background = len(participants) - len(threads)
-    for _ in participants:
+    for _ in threads:
         # Before any thread starts, so that no pause and no wait for a
-        # checkpoint can miss a participant that has not run yet.
+        # checkpoint can miss a worker that has not run yet.
         gate.register()
-    for t in participants:
+    for t in threads:
         t.start()
     try:
-        while gate.next_checkpoint(background):
-            take_checkpoint(quiesce=True)
+        while job := gate.next_job(interval):
+            if job == "checkpoint":
+                take_checkpoint(quiesce=True)
+            else:
+                structure.maintenance_pass()
+                gate.pass_done()
     finally:
-        # Only a check that raised gets here with workers left: they finish
-        # unchecked, so that none stays parked at a pause nobody takes.
-        while gate.next_checkpoint(background):
-            gate.resume()
+        # Only a job that raised gets here with workers left: they finish
+        # without checkpoints, and a writer that waits for room fails.
         gate.stop()
-        for t in participants:
+        for t in threads:
             t.join()
     report.duration_s = time.monotonic() - started
 

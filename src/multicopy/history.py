@@ -118,12 +118,6 @@ class UpsertHistory:
         k, v, t = self._log[ts - 1]
         return k == key and v == value and t == ts
 
-    def logical_contents(self) -> dict[Key, Value]:
-        """The map a sequential client would see: newest value per key."""
-        return {
-            k: self.max_ts(k).value for k in range(self.keyspace_size)
-        }
-
     def check_search_recency(
         self, key: Key, value: Value, tp: Timestamp, snap: int
     ) -> "RecencyResult":
@@ -287,13 +281,10 @@ class Trace:
     def upserts(self) -> list[UpsertEvent]:
         return [e for e in self.events if isinstance(e, UpsertEvent)]
 
-    def sorted_by_invocation(self) -> list[TraceEvent]:
-        return sorted(self.events, key=lambda e: e.inv)
-
     def dump(self, path: str) -> None:
         with open(path, "w") as f:
             f.write(json.dumps({"keyspace_size": self.keyspace_size}) + "\n")
-            for e in self.sorted_by_invocation():
+            for e in sorted(self.events, key=lambda e: e.inv):
                 f.write(json.dumps(e.to_json()) + "\n")
 
     @classmethod

@@ -14,17 +14,18 @@ deliberately skimpy:
       history and advance the clock, all in the same critical section, so
       releasing the root lock is the moment the upsert takes effect. A full
       root means retry after the root-full hook runs: maintenance_pass
-      unless set_on_root_full installed another (the stress harness hands
-      the wait to its flusher).
+      unless set_on_root_full installed another (the stress harness may
+      hand the wait to the thread that runs its maintenance passes).
 
-  compact walks down: lock a full node, pick the successor covering most of
-      its live keys (or grow a fresh sink when no edge wants them), lock it,
-      move records along the edge, record the moved copies as the parent's
-      view of that child (succ_reach), release parent then child, continue
-      at the child. At most two locks, always parent before child, which is
-      what keeps concurrent compactions deadlock-free on a DAG. Each step is
-      one _merge_down call; DfStructure.flush is the same step with its
-      table as the fixed target and no capacity gate.
+  compact walks down from the root: lock a full node, pick the successor
+      covering most of its live keys (or grow a fresh sink when no edge
+      wants them), lock it, move records along the edge, record the moved
+      copies as the parent's view of that child (succ_reach), release
+      parent then child, continue at the child. At most two locks, always
+      parent before child, which is what keeps concurrent compactions
+      deadlock-free on a DAG. Each step is one _merge_down call;
+      DfStructure.flush is the same step with its table as the fixed target
+      and no capacity gate.
 
 A structure is built over given nodes and the upsert history that filled
 them, which fix the rest: the clock continues after the newest timestamp, and
@@ -227,37 +228,34 @@ class MulticopyStructure:
 
     # --- compaction -------------------------------------------------------------
 
-    def compact(
-        self,
-        node_id: Optional[NodeId] = None,
-        *,
-        chooser: Optional[Callable[[NodeHandle], Optional[NodeId]]] = None,
-    ) -> None:
-        """Push records down from a full node, cascading while targets fill.
+    def compact(self) -> None:
+        """Push records down from a full root, cascading while targets fill.
 
-        Each step is one _merge_down; the cascade stops at a node with room.
-        chooser overrides the default most-coverage successor policy; it may
-        return None to force a fresh sink, whose edge owns every key the node
-        does not already route somewhere.
+        Each step is one _merge_down towards _compaction_target; the cascade
+        stops at a node with room.
         """
-
-        def target(n: NodeHandle) -> Optional[NodeId]:
-            if not n.at_capacity():
-                return None
-            m_id = chooser(n) if chooser is not None else n.choose_next()
-            if m_id is None:
-                cap = None if n.capacity is None else n.capacity * self.growth_factor
-                m = alloc_node(cap)
-                self._register(m)
-                # Linking happens under n's lock; nobody can reach m
-                # before this edge exists, so its lock cannot block.
-                insert_node(n, m, self._unrouted_keys(n))
-                m_id = m.id
-            return m_id
-
-        nid = self._root if node_id is None else node_id
+        nid = self._root
         while nid is not None:
-            nid = self._merge_down(nid, target)
+            nid = self._merge_down(nid, self._compaction_target)
+
+    def _compaction_target(self, n: NodeHandle) -> Optional[NodeId]:
+        """None while n has room; else the successor covering most of its
+        live keys, or a fresh sink when no edge wants them."""
+        if not n.at_capacity():
+            return None
+        m_id = n.choose_next()
+        return m_id if m_id is not None else self._grow_sink(n)
+
+    def _grow_sink(self, n: NodeHandle) -> NodeId:
+        """Link a fresh table below n whose edge owns every key n does not
+        already route somewhere; its capacity is n's times growth_factor."""
+        cap = None if n.capacity is None else n.capacity * self.growth_factor
+        m = alloc_node(cap)
+        self._register(m)
+        # Linking happens under n's lock; nobody can reach m before this
+        # edge exists, so its lock cannot block.
+        insert_node(n, m, self._unrouted_keys(n))
+        return m.id
 
     def _merge_down(
         self, nid: NodeId, target: Callable[[NodeHandle], Optional[NodeId]]

@@ -3,10 +3,9 @@
 Every node keeps its live records in a dict from key to TimedValue, so a
 lookup is one dict probe and a key holds at most one copy per node. The
 node's kind is only its role: the ROOT_BUFFER is the one node that accepts
-writes (add_contents), and a SORTED_TABLE only changes through merges. A
-table's sorted order is a view computed on request (live_keys); nothing
-keeps it sorted in place. Capacity bounds live records, so an overwrite
-never fails even at a full root.
+writes (add_contents), and a SORTED_TABLE only changes through merges.
+Nothing keeps a table sorted in place. Capacity bounds live records, so an
+overwrite never fails even at a full root.
 
 The move between nodes is merge_contents: pick the source's live keys that
 the connecting edge owns, in key order, as long as the target keeps fitting
@@ -81,9 +80,6 @@ class NodeHandle:
 
     def live_count(self) -> int:
         return len(self._records)
-
-    def live_keys(self) -> list[Key]:
-        return sorted(self._records)
 
     def contents(self) -> NodeContents:
         """Copy of the live records."""

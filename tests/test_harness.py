@@ -62,6 +62,8 @@ def test_config_validation():
         small_config(maintenance="sometimes").validate()
     with pytest.raises(MulticopyError):
         small_config(maintenance="periodic:0").validate()
+    with pytest.raises(MulticopyError):
+        small_config(checkpoint_every=-1).validate()
     for ok in ("on-fail", "off", "periodic", "periodic:2.5"):
         small_config(maintenance=ok).validate()
 
@@ -184,7 +186,7 @@ def test_checkpoints_are_taken_at_their_marks(threads, maintenance):
         sys.setswitchinterval(switch)
 
 
-def test_full_root_wakes_the_flusher_instead_of_waiting_out_its_interval():
+def test_full_root_gets_a_pass_at_once_instead_of_waiting_out_its_interval():
     started = time.monotonic()
     report = run_stress(small_config(maintenance="periodic:1000", root_capacity=4))
     assert time.monotonic() - started < 1
@@ -193,7 +195,7 @@ def test_full_root_wakes_the_flusher_instead_of_waiting_out_its_interval():
     assert report.final_nodes > 1
 
 
-def test_a_failed_flusher_fails_the_run_instead_of_hanging_it(monkeypatch, capfd):
+def test_a_failed_periodic_pass_fails_the_run_instead_of_hanging_it(monkeypatch, capfd):
     def broken_pass(self):
         raise RuntimeError("pass failed")
 
@@ -203,6 +205,42 @@ def test_a_failed_flusher_fails_the_run_instead_of_hanging_it(monkeypatch, capfd
         run_stress(small_config(root_capacity=4))
     assert time.monotonic() - started < 1
     assert "Exception in thread" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
+def test_maintenance_passes_run_on_the_thread_their_mode_names(monkeypatch, maintenance):
+    # periodic: the thread that called run_stress runs every pass, so no
+    # other background thread exists. on-fail: the writer that finds the
+    # root full runs it.
+    runners = []
+    pass_of = MulticopyStructure.maintenance_pass
+
+    def spy(self):
+        runners.append(threading.current_thread())
+        pass_of(self)
+
+    monkeypatch.setattr(LsmStructure, "maintenance_pass", spy)
+    report = run_stress(small_config(maintenance=maintenance, root_capacity=4))
+    assert report.ok, report.format_text()
+    assert runners
+    if maintenance == "on-fail":
+        assert all(t.name.startswith("worker-") for t in runners)
+    else:
+        assert set(runners) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
+def test_a_failed_checkpoint_fails_the_run_and_leaves_no_thread(monkeypatch, maintenance):
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(harness, "check_invariants", broken_check)
+    before = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_stress(small_config(maintenance=maintenance, root_capacity=4))
+    assert time.monotonic() - started < 1
+    assert threading.active_count() == before
 
 
 def test_stress_on_fail_maintenance_grows_the_structure():

@@ -51,11 +51,6 @@ def test_max_ts_on_known_history():
     assert h.max_ts(0, upto=0) == INITIAL
 
 
-def test_logical_contents_is_newest_value_per_key():
-    h = small_history()
-    assert h.logical_contents() == {0: 9, 1: 5, 2: TOMBSTONE, 3: TOMBSTONE}
-
-
 def test_contains_counts_implicit_initial_entries():
     h = small_history()
     assert h.contains(0, 7, 1)

@@ -125,7 +125,7 @@ def test_a_failing_merge_step_releases_both_locks():
     # t2 is not a successor of the root, so the merge step fails after it
     # has taken both locks.
     with pytest.raises(MulticopyError, match=f"no edge {root}->{t2}"):
-        s.compact(chooser=lambda n: t2)
+        s._merge_down(root, lambda n: t2)
     assert s._held.nodes == []
     assert not any(lock.locked() for lock in s._locks.values())
     assert [v["reason"] for v in s.lock_order_violations] == [
