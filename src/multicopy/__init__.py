@@ -41,7 +41,7 @@ from .graph import (
 )
 from .harness import WorkloadConfig, check_files, run_stress
 from .history import Trace, UpsertHistory
-from .lsm import LsmStructure, MulticopyStructure, SearchProbe
+from .lsm import LockOrderLog, LsmStructure, MulticopyStructure, SearchProbe
 from .nodes import NodeHandle, alloc_node, insert_node, merge_contents
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "INITIAL",
     "InvariantReport",
     "LinearizationResult",
+    "LockOrderLog",
     "LsmStructure",
     "MulticopyError",
     "MulticopyGraph",

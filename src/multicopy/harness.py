@@ -5,7 +5,8 @@ A run spawns worker threads that execute deterministic per-thread op streams
 run_stress is the run's only background thread: it waits at the gate for its
 next job and does it. A job is a checkpoint, a maintenance pass a writer asked
 for because it found the root full, or, in periodic mode, a pass because the
-interval ended. In a checked run (the default) every search is checked online
+interval ended. In a checked run (the default) the structure's node locks log
+every break of the lock-order rule, and every search is checked online
 against the history the moment it returns. Checkpoints are requested at their
 marks: the worker whose op completes every checkpoint_every * threads ops asks
 for a pause, every worker parks at the gate (between operations, or while
@@ -13,7 +14,7 @@ waiting holding no node lock), and the calling thread snapshots the
 structure, runs the full invariant suite plus cross-snapshot monotonicity,
 and resumes. At the end the recorded trace must linearize and the history
 predicates must hold. An unchecked run does none of this; it only runs the
-ops and times them.
+ops, on plain node locks, and times them.
 
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
@@ -152,8 +153,9 @@ class PauseGate:
 
     Participants wait on one condition and the calling thread on a second
     one over the same lock, so that neither side's wake-ups disturb the
-    other. stop() lifts a pending pause, ignores later requests and makes
-    writers that wait for a pass raise.
+    other. stop() lifts a pending pause, ignores later requests, makes
+    writers that wait for a pass raise and workers end at their next
+    wait_if_paused.
     """
 
     def __init__(self):
@@ -190,10 +192,13 @@ class PauseGate:
         finally:
             self._paused -= 1
 
-    def wait_if_paused(self) -> None:
+    def wait_if_paused(self) -> bool:
+        """Park while a pause is pending; False once the gate has stopped,
+        which tells a worker to end its loop."""
         with self._cond:
             if self._pausing:
                 self._park(lambda: True, None)
+            return not self._stopped
 
     def pause(self) -> None:
         with self._cond:
@@ -393,6 +398,9 @@ def run_stress(
     config.validate()
     report = StressReport(config=config)
     structure = _build_structure(config)
+    # Checked runs take order-checking node locks; unchecked ones keep the
+    # plain locks, so their timings carry no instrument.
+    lock_order = structure.check_lock_order() if checked else None
     gate = PauseGate()
     mode, interval = _parse_maintenance(config.maintenance)
 
@@ -440,7 +448,8 @@ def run_stress(
         violations = violations_per_thread[tid]
         try:
             for i, op in enumerate(ops):
-                gate.wait_if_paused()
+                if not gate.wait_if_paused():
+                    break
                 if op[0] == "search":
                     key = op[1]
                     inv = next(seq)
@@ -525,8 +534,8 @@ def run_stress(
                 structure.maintenance_pass()
                 gate.pass_done()
     finally:
-        # Only a job that raised gets here with workers left: they finish
-        # without checkpoints, and a writer that waits for room fails.
+        # Only a job that raised gets here with workers left: each ends at
+        # its next wait_if_paused, and a writer that waits for room fails.
         gate.stop()
         for t in threads:
             t.join()
@@ -536,10 +545,10 @@ def run_stress(
         raise thread_errors[0]
 
     report.total_ops = sum(done)
-    report.lock_order_violations = list(structure.lock_order_violations)
     report.final_nodes = len(structure.node_ids())
 
     if checked:
+        report.lock_order_violations = list(lock_order.violations)
         take_checkpoint(quiesce=False)
         for v in violations_per_thread:
             report.recency_violations.extend(v)

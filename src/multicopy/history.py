@@ -17,8 +17,8 @@ checking, serialized one JSON object per line.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .core import (
@@ -50,10 +50,15 @@ class UpsertHistory:
     def __init__(self, keyspace_size: int):
         check_keyspace(keyspace_size)
         self.keyspace_size = keyspace_size
-        self._log: list[tuple[Key, Value, Timestamp]] = []
-        # key -> log indices of that key's entries, ascending. Maintained at
-        # append time so readers only ever bisect a grow-only list.
-        self._by_key: dict[Key, list[int]] = {}
+        # One column per field, so an entry adds only ints (and the value) to
+        # lists that already exist: nothing the garbage collector tracks.
+        self._keys: list[Key] = []
+        self._values: list[Value] = []
+        self._ts: list[Timestamp] = []
+        # Per-key chain: _last[key] is the index of key's newest entry and
+        # _prev[i] that of the entry before i with the same key (-1: none).
+        self._last: dict[Key, int] = {}
+        self._prev: list[int] = []
         self._published = 0
 
     def __len__(self) -> int:
@@ -66,8 +71,7 @@ class UpsertHistory:
     def entries(self, upto: Optional[int] = None) -> Iterator[tuple[Key, Value, Timestamp]]:
         """Iterate the published prefix (or a shorter one)."""
         n = self._published if upto is None else min(upto, self._published)
-        for i in range(n):
-            yield self._log[i]
+        return islice(zip(self._keys, self._values, self._ts), n)
 
     def record_upsert(self, key: Key, value: Value, ts: Timestamp) -> None:
         """Append one upsert. Caller must hold the root lock.
@@ -76,21 +80,28 @@ class UpsertHistory:
         discipline was broken and the history is corrupt.
         """
         check_key(key, self.keyspace_size)
-        if self._log:
-            last = self._log[-1][2]
+        log_ts = self._ts
+        if log_ts:
+            last = log_ts[-1]
             if ts <= last:
                 raise HistoryCorruptionError(
                     f"upsert timestamp {ts} not above last logged {last}"
                 )
         elif ts <= 0:
             raise HistoryCorruptionError(f"upsert timestamp {ts} must be >= 1")
-        self._log.append((key, value, ts))
-        self._by_key.setdefault(key, []).append(len(self._log) - 1)
-        self._published = len(self._log)
+        # The entry is whole, and the chain reaches it, before the published
+        # length covers it.
+        i = len(log_ts)
+        self._keys.append(key)
+        self._values.append(value)
+        log_ts.append(ts)
+        self._prev.append(self._last.get(key, -1))
+        self._last[key] = i
+        self._published = i + 1
 
     def max_published_ts(self) -> Timestamp:
         """Largest logged timestamp, 0 if the log is empty."""
-        return self._log[self._published - 1][2] if self._published else 0
+        return self._ts[self._published - 1] if self._published else 0
 
     def max_ts(self, key: Key, upto: Optional[int] = None) -> TimedValue:
         """Newest copy of key in the prefix of length `upto` (default: now).
@@ -100,13 +111,13 @@ class UpsertHistory:
         """
         check_key(key, self.keyspace_size)
         n = self._published if upto is None else min(upto, self._published)
-        idxs = self._by_key.get(key)
-        if idxs:
-            pos = bisect_right(idxs, n - 1)
-            if pos > 0:
-                _, v, t = self._log[idxs[pos - 1]]
-                return TimedValue(v, t)
-        return INITIAL
+        i = self._last.get(key, -1)
+        prev = self._prev
+        while i >= n:
+            i = prev[i]
+        if i < 0:
+            return INITIAL
+        return TimedValue(self._values[i], self._ts[i])
 
     def contains(self, key: Key, value: Value, ts: Timestamp) -> bool:
         """Is (key, (value, ts)) in the history, counting implicit entries?"""
@@ -115,8 +126,8 @@ class UpsertHistory:
         # Dense timestamps: entry with timestamp t lives at index t-1.
         if not 1 <= ts <= self._published:
             return False
-        k, v, t = self._log[ts - 1]
-        return k == key and v == value and t == ts
+        i = ts - 1
+        return self._keys[i] == key and self._values[i] == value and self._ts[i] == ts
 
     def check_search_recency(
         self, key: Key, value: Value, tp: Timestamp, snap: int
@@ -151,8 +162,7 @@ class UpsertHistory:
         clock_ok = True
         witness = None
         prev = 0
-        for i in range(self._published):
-            k, v, t = self._log[i]
+        for i, t in enumerate(islice(self._ts, self._published)):
             if t <= prev:
                 unique_ok = False
                 witness = witness or {"index": i, "ts": t, "prev_ts": prev}

@@ -27,6 +27,13 @@ deliberately skimpy:
       DfStructure.flush is the same step with its table as the fixed target
       and no capacity gate.
 
+Node locks are plain threading.Lock objects, taken with explicit
+acquire/release, so a hop costs one lock round trip and no Python-level lock
+code. The order rule above (at most two locks, the second a successor of the
+first) is a stress-run instrument: check_lock_order() swaps every node lock,
+present and future, for one that reports to a LockOrderLog, and run_stress
+does so before its workers start. Other callers never pay for it.
+
 A structure is built over given nodes and the upsert history that filled
 them, which fix the rest: the clock continues after the newest timestamp, and
 each node's succ_reach starts as the copies its successors hold.
@@ -67,7 +74,7 @@ from .nodes import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchProbe:
     """Instrumented search result: value, its timestamp, and the history
     snapshot (published length) taken at invocation."""
@@ -78,14 +85,86 @@ class SearchProbe:
 
 
 class _HeldLocks(threading.local):
-    """The locks the current thread holds, in acquisition order."""
+    """The node locks the current thread holds, in acquisition order."""
 
     def __init__(self):
         self.nodes: list[NodeId] = []
 
 
+class LockOrderLog:
+    """The lock-order rule, checked as node locks are taken.
+
+    A thread holds at most two node locks, and the second is a successor of
+    the first: that is what compaction does (parent, then child), and it
+    keeps concurrent compactions deadlock-free on a DAG. Every acquisition
+    that breaks the rule is appended to violations; the lock is still taken,
+    so the run goes on and the report names them all.
+    """
+
+    def __init__(self, handles: Mapping[NodeId, NodeHandle]):
+        # The structure's own node table, so nodes grown later are known.
+        self._handles = handles
+        self._held = _HeldLocks()
+        self.violations: list[dict] = []
+        self._lock = threading.Lock()
+
+    def held(self) -> list[NodeId]:
+        """The node locks the current thread holds, in acquisition order."""
+        return self._held.nodes
+
+    def check(self, held: list[NodeId], nid: NodeId) -> None:
+        """Log a violation if a thread already holding held (not empty)
+        may not take nid."""
+        if len(held) >= 2:
+            bad = "more than two locks"
+        elif nid not in self._handles[held[-1]].succ_edgesets:
+            bad = "second lock is not a successor of the first"
+        else:
+            return
+        with self._lock:
+            self.violations.append(
+                {
+                    "thread": threading.current_thread().name,
+                    "held": list(held),
+                    "acquiring": nid,
+                    "reason": bad,
+                }
+            )
+
+
+class OrderCheckedLock:
+    """A node lock that reports every acquisition to a LockOrderLog."""
+
+    __slots__ = ("_nid", "_log", "_held", "_lock")
+
+    def __init__(self, nid: NodeId, log: LockOrderLog):
+        self._nid = nid
+        self._log = log
+        self._held = log._held
+        self._lock = threading.Lock()
+
+    def acquire(self) -> None:
+        held = self._held.nodes
+        if held:
+            self._log.check(held, self._nid)
+        self._lock.acquire()
+        held.append(self._nid)
+
+    def release(self) -> None:
+        self._held.nodes.remove(self._nid)
+        self._lock.release()
+
+    def locked(self) -> bool:
+        return self._lock.locked()
+
+
 class MulticopyStructure:
-    """Shared engine: per-node locks, clock, history, ghost succ_reach."""
+    """Shared engine: per-node locks, clock, history, ghost succ_reach.
+
+    _locks[nid] holds a plain threading.Lock, or an OrderCheckedLock once
+    check_lock_order() has run; the template takes either through acquire()
+    and release().
+    """
 
     def __init__(
         self,
@@ -107,7 +186,8 @@ class MulticopyStructure:
         if self._handles[root].kind != ROOT_BUFFER:
             raise MulticopyError("root node must be a root buffer")
         self._root = root
-        self._locks: dict[NodeId, threading.Lock] = {
+        self._lock_order: Optional[LockOrderLog] = None
+        self._locks: dict[NodeId, threading.Lock | OrderCheckedLock] = {
             i: threading.Lock() for i in self._handles
         }
         self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(
@@ -118,37 +198,17 @@ class MulticopyStructure:
         self._all_keys: Optional[frozenset[Key]] = None
         # Runs (lock-free) after a failed root append.
         self._on_root_full: Callable[[], None] = self.maintenance_pass
-        self._held = _HeldLocks()
-        self.lock_order_violations: list[dict] = []
-        self._viol_lock = threading.Lock()
 
-    # --- locking with order instrumentation --------------------------------
-
-    def _acquire(self, nid: NodeId) -> None:
-        held = self._held.nodes
-        if held:
-            # Only compaction holds two locks, and only parent then child.
-            bad = None
-            if len(held) >= 2:
-                bad = "more than two locks"
-            elif nid not in self._handles[held[-1]].succ_edgesets:
-                bad = "second lock is not a successor of the first"
-            if bad is not None:
-                with self._viol_lock:
-                    self.lock_order_violations.append(
-                        {
-                            "thread": threading.current_thread().name,
-                            "held": list(held),
-                            "acquiring": nid,
-                            "reason": bad,
-                        }
-                    )
-        self._locks[nid].acquire()
-        held.append(nid)
-
-    def _release(self, nid: NodeId) -> None:
-        self._held.nodes.remove(nid)
-        self._locks[nid].release()
+    def check_lock_order(self) -> LockOrderLog:
+        """Check the lock-order rule from now on and return the log that
+        collects its violations. Every node lock, and each one a grown node
+        gets later, becomes an OrderCheckedLock. Call it at quiescence, with
+        no node lock held; calling it again returns the same log."""
+        if self._lock_order is None:
+            self._lock_order = LockOrderLog(self._handles)
+            for nid in list(self._locks):
+                self._locks[nid] = OrderCheckedLock(nid, self._lock_order)
+        return self._lock_order
 
     # --- public metadata ----------------------------------------------------
 
@@ -173,15 +233,17 @@ class MulticopyStructure:
         implicit (tombstone, 0) if the walk falls off the structure."""
         check_key(key, self.keyspace_size)
         snap = self.history.snapshot()
+        locks, handles = self._locks, self._handles
         nid = self._root
         while True:
-            self._acquire(nid)
+            lock = locks[nid]
+            lock.acquire()
             try:
-                h = self._handles[nid]
+                h = handles[nid]
                 tv = h.in_contents(key)
                 nxt = None if tv is not None else route(h.succ_edgesets, key, nid)
             finally:
-                self._release(nid)
+                lock.release()
             if tv is not None:
                 return SearchProbe(tv.value, tv.ts, snap)
             if nxt is None:
@@ -199,7 +261,8 @@ class MulticopyStructure:
         """
         check_key(key, self.keyspace_size)
         while True:
-            self._acquire(self._root)
+            lock = self._locks[self._root]
+            lock.acquire()
             try:
                 t = self._clock
                 if self._handles[self._root].add_contents(key, value, t):
@@ -209,7 +272,7 @@ class MulticopyStructure:
                     self._clock = t + 1
                     return t
             finally:
-                self._release(self._root)
+                lock.release()
             self._on_root_full()
 
     def upsert(self, key: Key, value: Value) -> None:
@@ -263,19 +326,21 @@ class MulticopyStructure:
         """One locked merge step: lock nid, ask target for the child (None
         ends the step with nothing moved), lock the child, move records down
         the edge and record them as nid's view of it. Returns the child."""
-        self._acquire(nid)
-        m_id = None
+        lock, child = self._locks[nid], None
+        lock.acquire()
         try:
             m_id = target(self._handles[nid])
             if m_id is not None:
-                self._acquire(m_id)
+                m_lock = self._locks[m_id]
+                m_lock.acquire()
+                child = m_lock
                 n, m = self._handles[nid], self._handles[m_id]
                 self._succ_reach[nid].update(merge_contents(n, m))
         finally:
             # Parent before child, on every exit path.
-            self._release(nid)
-            if m_id in self._held.nodes:
-                self._release(m_id)
+            lock.release()
+            if child is not None:
+                child.release()
         return m_id
 
     def _unrouted_keys(self, n: NodeHandle) -> frozenset[Key]:
@@ -289,7 +354,8 @@ class MulticopyStructure:
     def _register(self, m: NodeHandle) -> None:
         # Plain dict stores: assignment is atomic and ids are never reused,
         # so concurrent readers either see the node fully or not at all.
-        self._locks[m.id] = threading.Lock()
+        log = self._lock_order
+        self._locks[m.id] = threading.Lock() if log is None else OrderCheckedLock(m.id, log)
         self._succ_reach[m.id] = {}
         self._handles[m.id] = m
 

@@ -21,6 +21,7 @@ def test_create_shape():
 
 def test_sequential_ops_match_dict_oracle():
     s = DfStructure.create(keyspace_size=32, root_capacity=4)
+    log = s.check_lock_order()
     oracle = run_random_ops(s, random.Random(13), 3000)
     for k in range(32):
         got = s.search(k)
@@ -29,7 +30,7 @@ def test_sequential_ops_match_dict_oracle():
         else:
             assert is_tombstone(got)
     assert len(s.node_ids()) == 2  # never grows
-    assert s.lock_order_violations == []
+    assert log.violations == []
     report = check_invariants(s.snapshot_graph(), s.history, s.clock)
     assert report.ok, report.format_text()
 
@@ -74,6 +75,7 @@ def test_df_does_not_compact():
 
 def test_concurrent_writers_with_auto_flush():
     s = DfStructure.create(keyspace_size=12, root_capacity=3)
+    log = s.check_lock_order()
     probes = []
     lock = threading.Lock()
 
@@ -94,7 +96,7 @@ def test_concurrent_writers_with_auto_flush():
         th.start()
     for th in threads:
         th.join()
-    assert s.lock_order_violations == []
+    assert log.violations == []
     for k, p in probes:
         res = s.history.check_search_recency(k, p.value, p.ts, p.snap)
         assert res.ok, res.to_dict()

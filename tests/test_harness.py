@@ -131,7 +131,8 @@ def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
         # and lets go of all of them only when it returns.
         snap = self.history.snapshot()
         nid = self.root_id
-        self._acquire(nid)
+        taken = [self._locks[nid]]
+        taken[-1].acquire()
         try:
             while True:
                 h = self.handle(nid)
@@ -141,10 +142,11 @@ def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
                 nid = route(h.succ_edgesets, key, nid)
                 if nid is None:
                     return SearchProbe(TOMBSTONE, 0, snap)
-                self._acquire(nid)
+                taken.append(self._locks[nid])
+                taken[-1].acquire()
         finally:
-            for held in list(self._held.nodes):
-                self._release(held)
+            for lock in taken:
+                lock.release()
 
     monkeypatch.setattr(MulticopyStructure, "search_timed", search_holding_path)
     report = run_stress(small_config(
@@ -241,6 +243,26 @@ def test_a_failed_checkpoint_fails_the_run_and_leaves_no_thread(monkeypatch, mai
         run_stress(small_config(maintenance=maintenance, root_capacity=4))
     assert time.monotonic() - started < 1
     assert threading.active_count() == before
+
+
+def test_workers_stop_early_after_a_failed_checkpoint(monkeypatch):
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(harness, "check_invariants", broken_check)
+    ran = []
+    for name in ("search_timed", "upsert_timed"):
+        def counted(self, *args, op=getattr(MulticopyStructure, name)):
+            ran.append(name)
+            return op(self, *args)
+
+        monkeypatch.setattr(MulticopyStructure, name, counted)
+    # on-fail: no writer waits for a pass, so only the stopped gate can end
+    # the workers before their streams run out.
+    cfg = small_config(maintenance="on-fail", root_capacity=4, ops_per_thread=2000)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_stress(cfg)
+    assert len(ran) < cfg.threads * cfg.ops_per_thread
 
 
 def test_stress_on_fail_maintenance_grows_the_structure():

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -110,6 +111,20 @@ def test_record_upsert_rejects_broken_timestamps():
     assert h.max_published_ts() == 5
     with pytest.raises(MulticopyError):
         h.record_upsert(2, 1, 6)  # key outside the keyspace
+
+
+def test_recording_fresh_keys_adds_no_gc_tracked_objects():
+    h = UpsertHistory(10_000)
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for k in range(5000):
+            h.record_upsert(k, k + 1000, k + 1)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added == 0
+    assert h.max_ts(4999) == TimedValue(5999, 5000)
 
 
 def test_history_rejects_a_bad_keyspace():

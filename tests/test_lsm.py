@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 
@@ -6,7 +7,8 @@ import pytest
 
 from multicopy.checker import check_invariants
 from multicopy.core import MulticopyError, TOMBSTONE, is_tombstone
-from multicopy.lsm import LsmStructure, MulticopyStructure
+from multicopy.df import DfStructure
+from multicopy.lsm import LsmStructure, MulticopyStructure, OrderCheckedLock
 from multicopy.nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE
 
 
@@ -35,6 +37,7 @@ def run_random_ops(s, rng, n_ops, oracle=None):
 
 def test_sequential_ops_match_dict_oracle():
     s = LsmStructure.create(keyspace_size=32, root_capacity=4)
+    log = s.check_lock_order()
     oracle = run_random_ops(s, random.Random(42), 3000)
     for k in range(32):
         got = s.search(k)
@@ -47,7 +50,7 @@ def test_sequential_ops_match_dict_oracle():
     g = s.snapshot_graph()
     report = check_invariants(g, s.history, s.clock)
     assert report.ok, report.format_text()
-    assert s.lock_order_violations == []
+    assert log.violations == []
 
 
 def test_search_timed_reports_timestamp_and_snapshot():
@@ -122,13 +125,14 @@ def test_a_failing_merge_step_releases_both_locks():
     assert list(s.handle(root).succ_edgesets) == [t1]
     s.upsert(8, 80)
     s.upsert(9, 90)
+    log = s.check_lock_order()
     # t2 is not a successor of the root, so the merge step fails after it
     # has taken both locks.
     with pytest.raises(MulticopyError, match=f"no edge {root}->{t2}"):
         s._merge_down(root, lambda n: t2)
-    assert s._held.nodes == []
+    assert log.held() == []
     assert not any(lock.locked() for lock in s._locks.values())
-    assert [v["reason"] for v in s.lock_order_violations] == [
+    assert [v["reason"] for v in log.violations] == [
         "second lock is not a successor of the first"
     ]
     s.compact()
@@ -136,6 +140,47 @@ def test_a_failing_merge_step_releases_both_locks():
     s.compact()
     assert [s.search(k) for k in (0, 8, 9, 10)] == [0, 80, 90, 100]
     assert check_invariants(s.snapshot_graph(), s.history, s.clock).ok
+
+
+def test_a_sink_grown_after_check_lock_order_gets_a_checking_lock():
+    s = LsmStructure.create(keyspace_size=16, root_capacity=2)
+    log = s.check_lock_order()
+    for k in range(4):
+        s.upsert(k, k)
+        s.compact()  # grows t1, then t2, both after the swap
+    root, (t1, t2) = s.root_id, sorted(set(s.node_ids()) - {s.root_id})
+    assert all(isinstance(lock, OrderCheckedLock) for lock in s._locks.values())
+    assert log.violations == []
+    s.upsert(8, 80)
+    s.upsert(9, 90)
+    with pytest.raises(MulticopyError, match=f"no edge {root}->{t2}"):
+        s._merge_down(root, lambda n: t2)
+    assert [(v["held"], v["acquiring"]) for v in log.violations] == [([root], t2)]
+    assert log.held() == []
+
+
+def test_created_structures_and_their_grown_sinks_hold_plain_locks():
+    plain = type(threading.Lock())
+    lsm = LsmStructure.create(keyspace_size=16, root_capacity=2)
+    df = DfStructure.create(keyspace_size=16, root_capacity=2)
+    lock_code = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("acquire", "release"):
+            lock_code.append(frame.f_code.co_qualname)
+
+    sys.setprofile(spy)
+    try:
+        for s in (lsm, df):
+            for k in range(12):
+                s.upsert(k, k)  # on-fail maintenance grows lsm's sinks
+                s.search(k)
+    finally:
+        sys.setprofile(None)
+    assert len(lsm.node_ids()) > 2
+    for s in (lsm, df):
+        assert all(type(lock) is plain for lock in s._locks.values())
+    assert lock_code == []
 
 
 def test_chain_stays_a_list_with_growing_capacities():
@@ -207,6 +252,7 @@ def test_constructor_validation():
 
 def test_concurrent_hammering_stays_sound():
     s = LsmStructure.create(keyspace_size=24, root_capacity=4)
+    log = s.check_lock_order()
     probes = [[] for _ in range(4)]
 
     def worker(tid):
@@ -224,7 +270,7 @@ def test_concurrent_hammering_stays_sound():
         th.start()
     for th in threads:
         th.join()
-    assert s.lock_order_violations == []
+    assert log.violations == []
     # Every search returned a copy that was in the history and no older
     # than the key's copy at its invocation snapshot.
     for tid in range(4):
