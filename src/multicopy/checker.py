@@ -21,7 +21,9 @@ reproduce every returned value. Failures carry the first offending event.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .core import INITIAL, TOMBSTONE, MulticopyError, Timestamp, encode_value
@@ -94,6 +96,32 @@ class InvariantReport:
 
 def _cap(ws: list[dict]) -> list[dict]:
     return ws[:WITNESS_CAP]
+
+
+# Whole-input tests, each one C-level set or dict operation. A check runs
+# its witness loop only where its test fails, so a passing snapshot costs
+# little, and a failing one gets the witnesses the loop has always built.
+
+
+def _all_below(h: UpsertHistory, clock: Timestamp) -> bool:
+    """Inv4 holds: every logged timestamp is below the clock."""
+    return max(h.timestamps(), default=0) < clock
+
+
+def _flow_within_view(fl: Counter, view: dict) -> bool:
+    """Condition 2 holds at a node: every copy flowing in is present and
+    its local view holds that very copy."""
+    return min(fl.values(), default=1) > 0 and fl.keys() <= view.items()
+
+
+def _held_and_recorded(own: dict, sr: dict) -> set:
+    """The keys condition 3 must compare: held and recorded by the node."""
+    return own.keys() & sr.keys()
+
+
+def _keys_within_flow(view: dict, fl: Counter) -> bool:
+    """Condition 4 holds at a node: every key it can see flows in."""
+    return min(fl.values(), default=1) > 0 and view.keys() <= fl.keys()
 
 
 # Every entry of a check_invariants report, in report order.
@@ -183,13 +211,16 @@ def check_invariants(
     ws.sort(key=lambda w: w["key"])
     add("inv1_logical_matches_reach", ws)
 
-    # Inv3: no node invents copies that were never upserted.
+    # Inv3: no node invents copies that were never upserted. The clock hands
+    # out 1, 2, 3, ..., so a copy past a gap in the log is not justified
+    # either: upserts are missing from the history below it.
+    dense = h.dense_prefix()
     ws = []
     for n in nodes:
         bad = [
             (k, tv)
             for k, tv in g.node_contents(n).items()
-            if not h.contains(k, tv.value, tv.ts)
+            if tv.ts > dense or not h.contains(k, tv.value, tv.ts)
         ]
         ws += (
             {"node": n, "key": k, "copy": [encode_value(tv.value), tv.ts]}
@@ -198,10 +229,10 @@ def check_invariants(
     add("inv3_contents_in_history", ws)
 
     # Inv4: the clock is ahead of everything logged.
-    add(
-        "inv4_ts_below_clock",
-        [{"ts": t, "key": k, "clock": clock} for k, v, t in h.entries() if t >= clock],
-    )
+    ws = []
+    if not _all_below(h, clock):
+        ws = [{"ts": t, "key": k, "clock": clock} for k, v, t in h.entries() if t >= clock]
+    add("inv4_ts_below_clock", ws)
 
     # Inv6: along an edge owning k, the downstream reach is not newer than
     # the upstream copy. This is what makes the first copy found correct.
@@ -258,6 +289,8 @@ def check_invariants(
     local = {n: local_reach(g, n) for n in g.nodes}
     for n in nodes:
         view = local[n]
+        if _flow_within_view(cir_flow[n], view):
+            continue
         bad = [
             (k, tv)
             for (k, tv), cnt in cir_flow[n].items()
@@ -275,14 +308,16 @@ def check_invariants(
             )
     phi2 = add("flow_reach_agree", ws)
 
-    # Flow condition 3: handing a copy down never advances its time.
+    # Flow condition 3: handing a copy down never advances its time. Where
+    # the node holds no copy of its own, the local view is the recorded copy
+    # itself, so only the keys it both holds and records can fail.
     ws = []
     for n in nodes:
-        view = local[n]
+        view, sr = local[n], g.node_succ_reach(n)
         bad = [
-            (k, tv.ts, mine.ts)
-            for k, tv in g.node_succ_reach(n).items()
-            if tv.ts > (mine := view.get(k, INITIAL)).ts
+            (k, sr[k].ts, mine.ts)
+            for k in _held_and_recorded(g.node_contents(n), sr)
+            if sr[k].ts > (mine := view.get(k, INITIAL)).ts
         ]
         ws += (
             {"node": n, "key": k, "recorded_ts": t, "local_ts": mine_ts}
@@ -294,6 +329,8 @@ def check_invariants(
     ws = []
     for n in nodes:
         fl = inset_flow[n]
+        if _keys_within_flow(local[n], fl):
+            continue
         ws += (
             {"node": n, "key": k}
             for k in sorted([k for k in local[n] if fl.get(k, 0) <= 0])
@@ -443,7 +480,8 @@ def linearize(trace: Trace) -> LinearizationResult:
     ts_list = [u.ts for u in ups]
 
     placements: dict[TraceEvent, str] = {}
-    gaps: list[list[SearchEvent]] = [[] for _ in range(len(ups) + 1)]
+    # (inv, gap, search): the gap is the number of upserts placed before it.
+    placed: list[tuple[int, int, SearchEvent]] = []
     for s in trace.searches():
         if s.tp <= s.t0:
             anchor = s.snap
@@ -460,13 +498,19 @@ def linearize(trace: Trace) -> LinearizationResult:
                     },
                 )
             placements[s] = f"after_ts:{s.tp}"
-        gaps[bisect_right(ts_list, anchor)].append(s)
+        placed.append((s.inv, bisect_right(ts_list, anchor), s))
 
+    # One stable sort by inv, then bucketing, leaves each gap's searches in
+    # invocation order.
+    placed.sort(key=itemgetter(0))
+    gaps: list[list[SearchEvent]] = [[] for _ in range(len(ups) + 1)]
+    for _, i, s in placed:
+        gaps[i].append(s)
     order: list[TraceEvent] = []
-    for i in range(len(ups) + 1):
-        order.extend(sorted(gaps[i], key=lambda s: s.inv))
-        if i < len(ups):
-            order.append(ups[i])
+    for i, up in enumerate(ups):
+        order += gaps[i]
+        order.append(up)
+    order += gaps[-1]
 
     # Validation pass one: the order must embed real-time precedence. If an
     # operation responded before another was invoked, it must come first.

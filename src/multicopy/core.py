@@ -64,10 +64,19 @@ class TimedValue:
     Copies are ordered by timestamp alone; the value carries no order. Code
     that needs "the newer copy" must compare .ts explicitly, which is why this
     class defines no comparison operators.
+
+    A copy hashes by its timestamp alone. Equal copies have equal timestamps,
+    so this agrees with equality, and in a structure each timestamp names one
+    upsert, so distinct copies rarely collide. The checker hashes thousands
+    of (key, copy) flow elements per snapshot; the generated hash would build
+    and hash a (value, ts) tuple for each of them.
     """
 
     value: Value
     ts: Timestamp
+
+    def __hash__(self) -> int:
+        return self.ts
 
     def __repr__(self) -> str:
         return f"({self.value!r}@{self.ts})"

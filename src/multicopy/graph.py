@@ -193,8 +193,11 @@ def _edge_output(g: MulticopyGraph, n: NodeId, m: NodeId, fl_n: Counter, kind: F
     ks = g.successors(n)[m]
     if kind == "cir":
         # Constant edge: emits the recorded copies for the keys it owns,
-        # regardless of what flows into n.
+        # regardless of what flows into n. An edge that owns every recorded
+        # key (every edge of a list) emits them all, built in C.
         sr = g.node_succ_reach(n)
+        if ks.issuperset(sr):
+            return Counter(dict.fromkeys(sr.items(), 1))
         return Counter({(k, sr[k]): 1 for k in ks.intersection(sr)})
     # Inset edge: pass through only the keys the edge owns, keep counts.
     if ks.issuperset(fl_n):

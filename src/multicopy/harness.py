@@ -39,7 +39,7 @@ from .checker import (
     check_invariants,
     linearize,
 )
-from .core import TOMBSTONE, MulticopyError
+from .core import TOMBSTONE, MulticopyError, check_keyspace
 from .df import DfStructure
 from .graph import MulticopyGraph, load_graph, save_graph
 from .history import (
@@ -116,18 +116,33 @@ def _parse_maintenance(spec: str) -> tuple[str, Optional[float]]:
 
 def generate_ops(config: WorkloadConfig, thread_id: int) -> list[tuple]:
     """The deterministic op stream for one worker. Seed and thread id fully
-    determine it; the shared structure provides the only nondeterminism."""
-    rng = random.Random(f"{config.seed}:{thread_id}")
+    determine it; the shared structure provides the only nondeterminism.
+
+    Each draw below n is Random.randrange(n) spelled out: getrandbits of
+    n.bit_length() bits, redrawn while not below n. The stream is the one
+    randrange gives, so a failure still replays from its seed, without
+    randrange's argument checks on every draw."""
+    check_keyspace(config.keyspace_size)
+    bits = random.Random(f"{config.seed}:{thread_id}").getrandbits
+    keyspace = config.keyspace_size
+    key_bits = keyspace.bit_length()
     s_cut = config.mix[0]
     u_cut = config.mix[0] + config.mix[1]
     ops = []
     for _ in range(config.ops_per_thread):
-        roll = rng.randrange(100)
-        key = rng.randrange(config.keyspace_size)
+        roll = bits(7)
+        while roll >= 100:
+            roll = bits(7)
+        key = bits(key_bits)
+        while key >= keyspace:
+            key = bits(key_bits)
         if roll < s_cut:
             ops.append(("search", key))
         elif roll < u_cut:
-            ops.append(("upsert", key, rng.randrange(10_000)))
+            value = bits(14)
+            while value >= 10_000:
+                value = bits(14)
+            ops.append(("upsert", key, value))
         else:
             ops.append(("delete", key))
     return ops
@@ -459,20 +474,13 @@ def run_stress(
                         rec = structure.history.check_search_recency(
                             key, probe.value, probe.ts, probe.snap
                         )
-                        if not rec.ok:
+                        if rec.reason is not None:
                             violations.append(rec.to_dict())
-                        events.append(
-                            SearchEvent(
-                                thread=tid,
-                                key=key,
-                                value=probe.value,
-                                t0=rec.t0,
-                                tp=probe.ts,
-                                snap=probe.snap,
-                                inv=inv,
-                                resp=resp,
-                            )
-                        )
+                        # Positional: an event is made per op, and keywords
+                        # cost more than the rest of the construction.
+                        events.append(SearchEvent(
+                            tid, key, probe.value, rec.t0, probe.ts, probe.snap, inv, resp
+                        ))
                 else:
                     key = op[1]
                     value = TOMBSTONE if op[0] == "delete" else op[2]
@@ -480,12 +488,7 @@ def run_stress(
                     ts = structure.upsert_timed(key, value)
                     resp = next(seq)
                     if checked:
-                        events.append(
-                            UpsertEvent(
-                                thread=tid, key=key, value=value,
-                                ts=ts, inv=inv, resp=resp,
-                            )
-                        )
+                        events.append(UpsertEvent(tid, key, value, ts, inv, resp))
                 done[tid] = i + 1
                 if step:
                     n = next(completed)

@@ -17,6 +17,7 @@ checking, serialized one JSON object per line.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional, Union
@@ -73,6 +74,11 @@ class UpsertHistory:
         n = self._published if upto is None else min(upto, self._published)
         return islice(zip(self._keys, self._values, self._ts), n)
 
+    def timestamps(self, upto: Optional[int] = None) -> Iterator[Timestamp]:
+        """The timestamps of the published prefix (or a shorter one)."""
+        n = self._published if upto is None else min(upto, self._published)
+        return islice(self._ts, n)
+
     def record_upsert(self, key: Key, value: Value, ts: Timestamp) -> None:
         """Append one upsert. Caller must hold the root lock.
 
@@ -99,6 +105,15 @@ class UpsertHistory:
         self._last[key] = i
         self._published = i + 1
 
+    def dense_prefix(self) -> int:
+        """Length of the longest published prefix whose timestamps run 1, 2,
+        3, ... without a gap; the whole log for any history a structure
+        writes."""
+        log_ts, n = self._ts, self._published
+        # Timestamps strictly increase from 1 up, so ts[i] >= i + 1, and
+        # once ts[i] > i + 1 it stays so: bisect for the first such i.
+        return bisect_left(range(n), True, key=lambda i: log_ts[i] != i + 1)
+
     def max_published_ts(self) -> Timestamp:
         """Largest logged timestamp, 0 if the log is empty."""
         return self._ts[self._published - 1] if self._published else 0
@@ -109,25 +124,34 @@ class UpsertHistory:
         Falls back to the implicit (tombstone, 0) entry every key starts
         with, so the result is always defined.
         """
+        i = self._newest(key, upto)
+        return INITIAL if i < 0 else TimedValue(self._values[i], self._ts[i])
+
+    def _newest(self, key: Key, upto: Optional[int]) -> int:
+        """Index of key's newest entry in the prefix of length `upto`
+        (default: now), -1 if there is none."""
         check_key(key, self.keyspace_size)
         n = self._published if upto is None else min(upto, self._published)
         i = self._last.get(key, -1)
         prev = self._prev
         while i >= n:
             i = prev[i]
-        if i < 0:
-            return INITIAL
-        return TimedValue(self._values[i], self._ts[i])
+        return i
 
     def contains(self, key: Key, value: Value, ts: Timestamp) -> bool:
         """Is (key, (value, ts)) in the history, counting implicit entries?"""
         if ts == 0:
             return value is TOMBSTONE and 0 <= key < self.keyspace_size
-        # Dense timestamps: entry with timestamp t lives at index t-1.
-        if not 1 <= ts <= self._published:
-            return False
+        # Dense timestamps put the entry with timestamp t at index t-1. A
+        # history recorded with gaps is searched by bisection instead, as
+        # its timestamps still strictly increase.
+        n, log_ts = self._published, self._ts
         i = ts - 1
-        return self._keys[i] == key and self._values[i] == value and self._ts[i] == ts
+        if not (0 <= i < n and log_ts[i] == ts):
+            i = bisect_left(log_ts, ts, 0, n)
+            if i == n or log_ts[i] != ts:
+                return False
+        return self._keys[i] == key and self._values[i] == value
 
     def check_search_recency(
         self, key: Key, value: Value, tp: Timestamp, snap: int
@@ -139,13 +163,14 @@ class UpsertHistory:
         really in the history now and is at least as new as the key's copy in
         the snapshot prefix.
         """
-        t0 = self.max_ts(key, upto=snap).ts
+        i = self._newest(key, snap)
+        t0 = INITIAL.ts if i < 0 else self._ts[i]
         reason = None
         if not self.contains(key, value, tp):
             reason = "returned copy not present in history"
         elif tp < t0:
             reason = f"returned ts {tp} older than invocation-time ts {t0}"
-        return RecencyResult(key=key, value=value, tp=tp, snap=snap, t0=t0, reason=reason)
+        return RecencyResult(key, value, tp, snap, t0, reason)
 
     def verify_predicates(self, clock: Timestamp) -> "HistoryPredicateReport":
         """Well-formedness of the whole log against the given clock value.
@@ -175,7 +200,7 @@ class UpsertHistory:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RecencyResult:
     """Outcome of one online recency check; reason is None when it passed."""
 
@@ -216,7 +241,15 @@ class HistoryPredicateReport:
         return {"init": self.init_ok, "unique": self.unique_ok, "clock": self.clock_ok}
 
 
-@dataclass(frozen=True)
+# Trace events compare by value and are hashable, as linearize keys its
+# placements by them. An event hashes by its invocation number alone: equal
+# events have equal ones, and within a trace they are unique. They are not
+# frozen, because a frozen dataclass pays for one object.__setattr__ call per
+# field on every construction, and the stress harness makes one event per
+# operation; nothing changes an event once made.
+
+
+@dataclass(slots=True)
 class SearchEvent:
     """One completed search: key, returned copy, and where it sat in time.
 
@@ -234,6 +267,9 @@ class SearchEvent:
     inv: int
     resp: int
 
+    def __hash__(self) -> int:
+        return self.inv
+
     def to_json(self) -> dict:
         return {
             "op": "search",
@@ -248,7 +284,7 @@ class SearchEvent:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpsertEvent:
     """One completed upsert (deletes are upserts of the tombstone)."""
 
@@ -258,6 +294,9 @@ class UpsertEvent:
     ts: Timestamp
     inv: int
     resp: int
+
+    def __hash__(self) -> int:
+        return self.inv
 
     def to_json(self) -> dict:
         return {

@@ -84,11 +84,22 @@ class SearchProbe:
     snap: int
 
 
+class _HeldList(list):
+    """Node ids in acquisition order, and the lock taken last if it was
+    taken as a second lock (None otherwise)."""
+
+    __slots__ = ("second",)
+
+    def __init__(self):
+        super().__init__()
+        self.second: Optional[NodeId] = None
+
+
 class _HeldLocks(threading.local):
     """The node locks the current thread holds, in acquisition order."""
 
     def __init__(self):
-        self.nodes: list[NodeId] = []
+        self.nodes = _HeldList()
 
 
 class LockOrderLog:
@@ -96,9 +107,12 @@ class LockOrderLog:
 
     A thread holds at most two node locks, and the second is a successor of
     the first: that is what compaction does (parent, then child), and it
-    keeps concurrent compactions deadlock-free on a DAG. Every acquisition
-    that breaks the rule is appended to violations; the lock is still taken,
-    so the run goes on and the report names them all.
+    keeps concurrent compactions deadlock-free on a DAG. A lock taken as
+    the second one is released without taking another: a merge step lets
+    go of parent and child, while a lock-coupling search would keep the
+    child and take the grandchild. Every acquisition that breaks the rule
+    is appended to violations; the lock is still taken, so the run goes on
+    and the report names them all.
     """
 
     def __init__(self, handles: Mapping[NodeId, NodeHandle]):
@@ -112,11 +126,13 @@ class LockOrderLog:
         """The node locks the current thread holds, in acquisition order."""
         return self._held.nodes
 
-    def check(self, held: list[NodeId], nid: NodeId) -> None:
+    def check(self, held: _HeldList, nid: NodeId) -> None:
         """Log a violation if a thread already holding held (not empty)
         may not take nid."""
         if len(held) >= 2:
             bad = "more than two locks"
+        elif held.second == held[0]:
+            bad = "lock coupling: the held lock was taken as a second lock"
         elif nid not in self._handles[held[-1]].succ_edgesets:
             bad = "second lock is not a successor of the first"
         else:
@@ -147,6 +163,9 @@ class OrderCheckedLock:
         held = self._held.nodes
         if held:
             self._log.check(held, self._nid)
+            held.second = self._nid
+        else:
+            held.second = None
         self._lock.acquire()
         held.append(self._nid)
 

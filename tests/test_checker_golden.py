@@ -20,10 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
-from support import random_dag
+from support import naive_flow, random_dag
 
+from multicopy import checker, graph
 from multicopy.checker import check_inv2_monotone, check_invariants
 from multicopy.core import TOMBSTONE, TimedValue
 from multicopy.graph import (
@@ -275,6 +277,67 @@ def test_checker_outputs_match_the_pinned_digests():
     for d in DOCTORINGS:
         doctored = [o for o in outs if o["doctoring"] == d]
         assert any(not o["report"]["ok"] for o in doctored) or d == "clean"
+
+
+C4_GRAPHS = 1000  # the random DAGs of acceptance check C4
+
+
+def _copies_history(g: MulticopyGraph) -> tuple[UpsertHistory, int]:
+    """A history holding every stored copy, gaps and all, and its clock."""
+    copies = sorted((tv.ts, k, tv.value) for _, k, tv in _copies(g))
+    h = _history(g.keyspace_size, [(k, v, t) for t, k, v in copies])
+    return h, h.max_published_ts() + 1
+
+
+def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
+    # Each whole-input test of the checker, and the whole-edge branch of the
+    # copy flow, is counted by outcome, and checked against the loop it
+    # stands in for, while the golden cases and the C4 DAGs run.
+    seen = {name: Counter() for name in (
+        "_all_below", "_flow_within_view", "_held_and_recorded",
+        "_keys_within_flow", "whole_edge",
+    )}
+
+    def spy(name, loop_finds_nothing):
+        real = getattr(checker, name)
+
+        def counted(*args):
+            out = real(*args)
+            taken = out if isinstance(out, bool) else not out
+            seen[name][taken] += 1
+            if taken:
+                assert loop_finds_nothing(*args), (name, args)
+            return out
+
+        monkeypatch.setattr(checker, name, counted)
+
+    spy("_all_below", lambda h, clock: all(t < clock for _, _, t in h.entries()))
+    spy("_flow_within_view", lambda fl, view: not [
+        el for el, c in fl.items() if c > 0 and view.get(el[0]) != el[1]
+    ])
+    spy("_held_and_recorded", lambda own, sr: True)
+    spy("_keys_within_flow", lambda view, fl: all(fl.get(k, 0) > 0 for k in view))
+
+    edge_output = graph._edge_output
+
+    def counted_edge_output(g, n, m, fl_n, kind):
+        out = edge_output(g, n, m, fl_n, kind)
+        if kind == "cir":
+            ks, sr = g.successors(n)[m], g.node_succ_reach(n)
+            seen["whole_edge"][ks.issuperset(sr)] += 1
+            assert out == Counter({(k, tv): 1 for k, tv in sr.items() if k in ks})
+        return out
+
+    monkeypatch.setattr(graph, "_edge_output", counted_edge_output)
+
+    expected = json.loads(DATA.read_text())["sha256"]
+    assert [digest(build_case(i)) for i in range(CASES)] == expected
+    for seed in range(C4_GRAPHS):
+        g = random_dag(random.Random(seed), max_nodes=12, max_keys=16)
+        assert compute_flow(g, "cir") == naive_flow(g, "cir")
+        check_invariants(g, *_copies_history(g))
+    for name, outcomes in seen.items():
+        assert outcomes[True] and outcomes[False], (name, outcomes)
 
 
 if __name__ == "__main__":

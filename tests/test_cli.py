@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import multicopy
 from multicopy.cli import SEED_ENV, main
 
 STRESS_SMALL = [
@@ -22,6 +26,19 @@ def test_replay_subcommand_text(capsys):
     assert main(["replay", "list-search"]) == 0
     out = capsys.readouterr().out
     assert out.strip().endswith("fixture list-search: OK")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(multicopy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "multicopy", "replay", "list-search"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().endswith("fixture list-search: OK")
 
 
 @pytest.mark.parametrize(

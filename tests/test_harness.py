@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -31,6 +32,32 @@ def small_config(**kw):
     )
     base.update(kw)
     return WorkloadConfig(**base)
+
+
+# sha256 of repr(generate_ops(config, thread)) for 3,000 ops a thread, as
+# Random.randrange drew them: (seed, thread, keyspace, mix) -> digest prefix.
+OP_STREAM_DIGESTS = {
+    (0, 0, 64, (70, 25, 5)): "7896c15c15af9dfe",
+    (1, 3, 1, (50, 25, 25)): "d28b4aafa0272350",
+    (7, 1, 4096, (70, 25, 5)): "d8e3299aa3835a94",
+    (42, 2, 65536, (0, 100, 0)): "e6a297b5c0cc433e",
+    (3, 0, 1000, (10, 10, 80)): "b240352cb21502ba",
+    (9, 5, 3, (34, 33, 33)): "1ac99b815e6e779a",
+    (11, 0, 16384, (90, 8, 2)): "6868df536365530a",
+}
+
+
+@pytest.mark.parametrize("seed,thread,keyspace,mix", sorted(OP_STREAM_DIGESTS))
+def test_generate_ops_draws_the_pinned_stream(seed, thread, keyspace, mix):
+    # A failure replays from its seed only while the stream stays the same.
+    cfg = WorkloadConfig(seed=seed, keyspace_size=keyspace, mix=mix, ops_per_thread=3000)
+    got = hashlib.sha256(repr(generate_ops(cfg, thread)).encode()).hexdigest()
+    assert got[:16] == OP_STREAM_DIGESTS[seed, thread, keyspace, mix]
+
+
+def test_generate_ops_rejects_an_empty_keyspace():
+    with pytest.raises(MulticopyError):
+        generate_ops(small_config(keyspace_size=0), 0)
 
 
 def test_generate_ops_is_deterministic_per_seed_and_thread():
@@ -156,6 +183,42 @@ def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
     assert not report.ok
     assert report.lock_order_violations
     assert {v["reason"] for v in report.lock_order_violations} == {"more than two locks"}
+
+
+def test_run_stress_flags_a_lock_coupling_search(monkeypatch):
+    def coupling_search(self, key):
+        # Takes the next node's lock, then lets go of the current one, so it
+        # never holds more than two locks, each pair a node and its successor.
+        snap = self.history.snapshot()
+        nid = self.root_id
+        lock = self._locks[nid]
+        lock.acquire()
+        try:
+            while True:
+                h = self.handle(nid)
+                tv = h.in_contents(key)
+                if tv is not None:
+                    return SearchProbe(tv.value, tv.ts, snap)
+                nid = route(h.succ_edgesets, key, nid)
+                if nid is None:
+                    return SearchProbe(TOMBSTONE, 0, snap)
+                nxt = self._locks[nid]
+                nxt.acquire()
+                lock.release()
+                lock = nxt
+        finally:
+            lock.release()
+
+    monkeypatch.setattr(MulticopyStructure, "search_timed", coupling_search)
+    report = run_stress(small_config(
+        threads=1, keyspace_size=64, root_capacity=4, maintenance="on-fail",
+        checkpoint_every=0, ops_per_thread=400, seed=1,
+    ))
+    assert not report.ok
+    assert report.lock_order_violations
+    assert {v["reason"] for v in report.lock_order_violations} == {
+        "lock coupling: the held lock was taken as a second lock"
+    }
 
 
 @pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])

@@ -64,6 +64,36 @@ def test_contains_counts_implicit_initial_entries():
     assert not h.contains(0, 7, 0)
 
 
+def test_contains_finds_copies_in_a_gapped_history():
+    # record_upsert accepts gaps; the entry with timestamp t then no longer
+    # sits at index t-1.
+    h = UpsertHistory(4)
+    h.record_upsert(0, 5, 2)
+    h.record_upsert(1, 6, 3)
+    h.record_upsert(2, 7, 7)
+    assert h.contains(0, 5, 2)
+    assert h.contains(1, 6, 3)
+    assert h.contains(2, 7, 7)
+    assert not h.contains(0, 5, 1)
+    assert not h.contains(0, 6, 2)  # wrong value
+    assert not h.contains(1, 6, 2)  # wrong key
+    assert not h.contains(2, 7, 5)  # in a gap
+    assert not h.contains(2, 7, 8)  # beyond the log
+    assert not h.contains(0, 5, -2)
+    assert h.check_search_recency(0, 5, 2, 1).ok
+    assert h.dense_prefix() == 0
+
+
+def test_dense_prefix_stops_at_the_first_gap():
+    assert UpsertHistory(4).dense_prefix() == 0
+    assert small_history().dense_prefix() == 5
+    for stamps, dense in (([1, 2, 4, 5], 2), ([2, 3], 0), ([1, 2, 3, 9], 3), ([1, 5], 1)):
+        h = UpsertHistory(4)
+        for t in stamps:
+            h.record_upsert(0, 1, t)
+        assert h.dense_prefix() == dense, stamps
+
+
 @given(
     ops=st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 9) | st.none()),

@@ -6,10 +6,11 @@ import time
 import pytest
 
 from multicopy.checker import check_invariants
-from multicopy.core import MulticopyError, TOMBSTONE, is_tombstone
+from multicopy.core import MulticopyError, TOMBSTONE, TimedValue, is_tombstone
 from multicopy.df import DfStructure
 from multicopy.lsm import LsmStructure, MulticopyStructure, OrderCheckedLock
-from multicopy.nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE
+from multicopy.history import UpsertHistory
+from multicopy.nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE, fresh_node_id
 
 
 def run_random_ops(s, rng, n_ops, oracle=None):
@@ -62,6 +63,18 @@ def test_search_timed_reports_timestamp_and_snapshot():
     assert probe.snap == s.history.snapshot() == 1
     missing = s.search_timed(5)
     assert is_tombstone(missing.value) and missing.ts == 0
+
+
+def test_a_structure_over_a_gapped_history_passes_its_own_recency_check():
+    h = UpsertHistory(4)
+    h.record_upsert(0, 5, 2)
+    root = NodeHandle(fresh_node_id(), ROOT_BUFFER, 4, {0: TimedValue(5, 2)})
+    s = LsmStructure(4, root.id, [root], history=h)
+    assert s.clock == 3
+    probe = s.search_timed(0)
+    assert (probe.value, probe.ts, probe.snap) == (5, 2, 1)
+    rec = h.check_search_recency(0, probe.value, probe.ts, probe.snap)
+    assert rec.ok, rec.reason
 
 
 def test_upsert_timestamps_are_dense_and_clock_advances():
