@@ -104,8 +104,9 @@ def _cap(ws: list[dict]) -> list[dict]:
 
 
 def _all_below(h: UpsertHistory, clock: Timestamp) -> bool:
-    """Inv4 holds: every logged timestamp is below the clock."""
-    return max(h.timestamps(), default=0) < clock
+    """Inv4 holds: every logged timestamp is below the clock. Timestamps
+    strictly increase, so the newest one decides."""
+    return h.max_published_ts() < clock
 
 
 def _flow_within_view(fl: Counter, view: dict) -> bool:
@@ -211,16 +212,13 @@ def check_invariants(
     ws.sort(key=lambda w: w["key"])
     add("inv1_logical_matches_reach", ws)
 
-    # Inv3: no node invents copies that were never upserted. The clock hands
-    # out 1, 2, 3, ..., so a copy past a gap in the log is not justified
-    # either: upserts are missing from the history below it.
-    dense = h.dense_prefix()
+    # Inv3: no node invents copies that were never upserted.
     ws = []
     for n in nodes:
         bad = [
             (k, tv)
             for k, tv in g.node_contents(n).items()
-            if tv.ts > dense or not h.contains(k, tv.value, tv.ts)
+            if not h.contains(k, tv.value, tv.ts)
         ]
         ws += (
             {"node": n, "key": k, "copy": [encode_value(tv.value), tv.ts]}
@@ -442,14 +440,10 @@ def check_inv2_monotone(prev: MulticopyGraph, nxt: MulticopyGraph) -> CheckResul
 # --- linearizability -------------------------------------------------------
 
 
-AT_INVOCATION = "at_invocation"
-
-
 @dataclass
 class LinearizationResult:
     ok: bool
     order: list[TraceEvent] = field(default_factory=list)
-    placements: dict[TraceEvent, str] = field(default_factory=dict)
     failure: Optional[dict] = None
 
     def to_json(self) -> dict:
@@ -479,13 +473,11 @@ def linearize(trace: Trace) -> LinearizationResult:
         )
     ts_list = [u.ts for u in ups]
 
-    placements: dict[TraceEvent, str] = {}
     # (inv, gap, search): the gap is the number of upserts placed before it.
     placed: list[tuple[int, int, SearchEvent]] = []
     for s in trace.searches():
         if s.tp <= s.t0:
             anchor = s.snap
-            placements[s] = AT_INVOCATION
         else:
             anchor = s.tp
             pos_probe = bisect_right(ts_list, s.tp)
@@ -497,7 +489,6 @@ def linearize(trace: Trace) -> LinearizationResult:
                         "event": s.to_json(),
                     },
                 )
-            placements[s] = f"after_ts:{s.tp}"
         placed.append((s.inv, bisect_right(ts_list, anchor), s))
 
     # One stable sort by inv, then bucketing, leaves each gap's searches in
@@ -521,7 +512,6 @@ def linearize(trace: Trace) -> LinearizationResult:
             return LinearizationResult(
                 ok=False,
                 order=order,
-                placements=placements,
                 failure={
                     "kind": "real_time_order",
                     "event": e.to_json(),
@@ -543,7 +533,6 @@ def linearize(trace: Trace) -> LinearizationResult:
                 return LinearizationResult(
                     ok=False,
                     order=order,
-                    placements=placements,
                     failure={
                         "kind": "value_mismatch",
                         "event": e.to_json(),
@@ -551,4 +540,4 @@ def linearize(trace: Trace) -> LinearizationResult:
                     },
                 )
 
-    return LinearizationResult(ok=True, order=order, placements=placements)
+    return LinearizationResult(ok=True, order=order)

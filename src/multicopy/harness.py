@@ -567,7 +567,9 @@ def run_stress(
             trace.dump(trace_out)
         report.history_predicates = structure.history.verify_predicates(structure.clock)
 
-    report.snapshot = structure.snapshot_graph()
+    # A checked run reuses the final checkpoint's copy: nothing has changed
+    # the structure since.
+    report.snapshot = prev_graph if checked else structure.snapshot_graph()
     if snapshot_out:
         save_graph(report.snapshot, snapshot_out)
     return report

@@ -17,7 +17,6 @@ checking, serialized one JSON object per line.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional, Union
@@ -74,45 +73,29 @@ class UpsertHistory:
         n = self._published if upto is None else min(upto, self._published)
         return islice(zip(self._keys, self._values, self._ts), n)
 
-    def timestamps(self, upto: Optional[int] = None) -> Iterator[Timestamp]:
-        """The timestamps of the published prefix (or a shorter one)."""
-        n = self._published if upto is None else min(upto, self._published)
-        return islice(self._ts, n)
-
     def record_upsert(self, key: Key, value: Value, ts: Timestamp) -> None:
         """Append one upsert. Caller must hold the root lock.
 
-        Timestamps must be strictly increasing; anything else means the clock
+        The clock hands out 1, 2, 3, ... without gaps, so ts must be one
+        past the last logged timestamp; anything else means the clock
         discipline was broken and the history is corrupt.
         """
-        check_key(key, self.keyspace_size)
         log_ts = self._ts
-        if log_ts:
-            last = log_ts[-1]
-            if ts <= last:
-                raise HistoryCorruptionError(
-                    f"upsert timestamp {ts} not above last logged {last}"
-                )
-        elif ts <= 0:
-            raise HistoryCorruptionError(f"upsert timestamp {ts} must be >= 1")
+        i = len(log_ts)
+        if ts != i + 1:
+            raise HistoryCorruptionError(
+                f"upsert timestamp {ts} follows {i}; "
+                "timestamps must run 1, 2, 3, ... without gaps"
+            )
+        check_key(key, self.keyspace_size)
         # The entry is whole, and the chain reaches it, before the published
         # length covers it.
-        i = len(log_ts)
         self._keys.append(key)
         self._values.append(value)
         log_ts.append(ts)
         self._prev.append(self._last.get(key, -1))
         self._last[key] = i
         self._published = i + 1
-
-    def dense_prefix(self) -> int:
-        """Length of the longest published prefix whose timestamps run 1, 2,
-        3, ... without a gap; the whole log for any history a structure
-        writes."""
-        log_ts, n = self._ts, self._published
-        # Timestamps strictly increase from 1 up, so ts[i] >= i + 1, and
-        # once ts[i] > i + 1 it stays so: bisect for the first such i.
-        return bisect_left(range(n), True, key=lambda i: log_ts[i] != i + 1)
 
     def max_published_ts(self) -> Timestamp:
         """Largest logged timestamp, 0 if the log is empty."""
@@ -142,16 +125,14 @@ class UpsertHistory:
         """Is (key, (value, ts)) in the history, counting implicit entries?"""
         if ts == 0:
             return value is TOMBSTONE and 0 <= key < self.keyspace_size
-        # Dense timestamps put the entry with timestamp t at index t-1. A
-        # history recorded with gaps is searched by bisection instead, as
-        # its timestamps still strictly increase.
-        n, log_ts = self._published, self._ts
+        # Dense timestamps put the entry with timestamp t at index t-1.
         i = ts - 1
-        if not (0 <= i < n and log_ts[i] == ts):
-            i = bisect_left(log_ts, ts, 0, n)
-            if i == n or log_ts[i] != ts:
-                return False
-        return self._keys[i] == key and self._values[i] == value
+        return (
+            0 <= i < self._published
+            and self._ts[i] == ts
+            and self._keys[i] == key
+            and self._values[i] == value
+        )
 
     def check_search_recency(
         self, key: Key, value: Value, tp: Timestamp, snap: int
@@ -175,14 +156,13 @@ class UpsertHistory:
     def verify_predicates(self, clock: Timestamp) -> "HistoryPredicateReport":
         """Well-formedness of the whole log against the given clock value.
 
-        init: every key has a defined newest copy (implicit tombstones make
-        this structural; checked anyway). unique: one value per timestamp,
-        enforced as strictly increasing log timestamps. clock: every logged
-        timestamp is below the clock.
+        init: every key has a defined newest copy. An unrecorded key's is
+        the implicit tombstone by construction, so only recorded keys are
+        checked. unique: one value per timestamp, enforced as strictly
+        increasing log timestamps. clock: every logged timestamp is below
+        the clock.
         """
-        init_ok = all(
-            self.max_ts(k) is not None for k in range(self.keyspace_size)
-        )
+        init_ok = all(self.max_ts(k) is not None for k in self._last)
         unique_ok = True
         clock_ok = True
         witness = None
@@ -241,12 +221,9 @@ class HistoryPredicateReport:
         return {"init": self.init_ok, "unique": self.unique_ok, "clock": self.clock_ok}
 
 
-# Trace events compare by value and are hashable, as linearize keys its
-# placements by them. An event hashes by its invocation number alone: equal
-# events have equal ones, and within a trace they are unique. They are not
-# frozen, because a frozen dataclass pays for one object.__setattr__ call per
-# field on every construction, and the stress harness makes one event per
-# operation; nothing changes an event once made.
+# Trace events are not frozen, because a frozen dataclass pays for one
+# object.__setattr__ call per field on every construction, and the stress
+# harness makes one event per operation; nothing changes an event once made.
 
 
 @dataclass(slots=True)
@@ -266,9 +243,6 @@ class SearchEvent:
     snap: int
     inv: int
     resp: int
-
-    def __hash__(self) -> int:
-        return self.inv
 
     def to_json(self) -> dict:
         return {
@@ -294,9 +268,6 @@ class UpsertEvent:
     ts: Timestamp
     inv: int
     resp: int
-
-    def __hash__(self) -> int:
-        return self.inv
 
     def to_json(self) -> dict:
         return {
@@ -353,6 +324,9 @@ class Trace:
                     raise MulticopyError(f"malformed trace: not JSON ({e}) at line {n}") from None
                 try:
                     if isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj:
+                        # Only a header that comes first bounds every key.
+                        if events or keyspace_size is not None:
+                            raise MulticopyError("keyspace header is not the first line")
                         keyspace_size = obj["keyspace_size"]
                         check_keyspace(keyspace_size)
                         continue
@@ -370,18 +344,13 @@ class Trace:
     def rebuild_history(self) -> tuple[UpsertHistory, Timestamp]:
         """Reconstruct the upsert log (and clock) this trace implies.
 
-        Upserts are replayed in timestamp order. The structure hands out
-        timestamps 1, 2, 3, ... without gaps, so a gap, a duplicate or a
-        non-positive timestamp raises HistoryCorruptionError, which is
-        exactly what a tampered trace deserves.
+        Upserts are replayed in timestamp order. record_upsert holds them to
+        the structure's clock, 1, 2, 3, ... without gaps, so a gap, a
+        duplicate or a non-positive timestamp raises HistoryCorruptionError,
+        which is exactly what a tampered trace deserves.
         """
         h = UpsertHistory(self.keyspace_size)
-        for i, e in enumerate(sorted(self.upserts(), key=lambda e: e.ts), 1):
-            if e.ts != i:
-                raise HistoryCorruptionError(
-                    f"upsert timestamp {e.ts} follows {i - 1}; "
-                    "timestamps must run 1, 2, 3, ... without gaps"
-                )
+        for e in sorted(self.upserts(), key=lambda e: e.ts):
             h.record_upsert(e.key, e.value, e.ts)
         return h, h.max_published_ts() + 1
 

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from multicopy.checker import (
-    AT_INVOCATION,
     check_inv2_monotone,
     check_invariants,
     linearize,
@@ -265,7 +264,8 @@ def test_linearize_sequential_trace():
     res = linearize(t)
     assert res.ok
     assert [getattr(e, "ts", None) for e in res.order] == [1, None, 2, None, None]
-    assert all(res.placements[s] == AT_INVOCATION for s in t.searches())
+    # Every search sits at its invocation point, so the order is the trace's.
+    assert res.order == t.events
 
 
 def test_linearize_places_overtaken_search_after_its_upsert():
@@ -275,7 +275,8 @@ def test_linearize_places_overtaken_search_after_its_upsert():
     res = linearize(Trace(keyspace_size=1, events=[s, u2, u1]))
     assert res.ok
     assert res.order == [u1, u2, s]
-    assert res.placements[s] == "after_ts:2"
+    # Right after the upsert whose copy it returned.
+    assert res.order[res.order.index(s) - 1].ts == s.tp
 
 
 def test_linearize_keeps_unovertaken_search_at_invocation():
@@ -285,7 +286,8 @@ def test_linearize_keeps_unovertaken_search_at_invocation():
     res = linearize(Trace(keyspace_size=1, events=[u1, u2, s]))
     assert res.ok
     assert res.order == [u1, s, u2]
-    assert res.placements[s] == AT_INVOCATION
+    # After exactly the upserts its history snapshot had seen.
+    assert sum(isinstance(e, UpsertEvent) for e in res.order[: res.order.index(s)]) == s.snap
 
 
 def test_linearize_orders_same_gap_searches_by_invocation():

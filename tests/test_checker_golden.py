@@ -13,6 +13,8 @@ The digests pin the outputs of the checker as it walked the whole keyspace
 and sorted every input. A deliberate change of output regenerates them with
 
     PYTHONPATH=src python3 tests/test_checker_golden.py
+
+which first prints the id and doctoring of every case whose digest changes.
 """
 
 from __future__ import annotations
@@ -231,7 +233,8 @@ def build_case(i: int) -> dict:
         )
     elif doctoring == "missing":
         drop = set(rng.sample(range(len(entries)), min(len(entries), rng.randint(1, 3))))
-        entries = [e for j, e in enumerate(entries) if j not in drop]
+        # The history keeps the dense prefix below the first dropped entry.
+        entries = entries[: min(drop, default=len(entries))]
     elif doctoring == "moved_below":
         _move_below(g, rng)
         if rng.random() < 0.5:
@@ -283,10 +286,15 @@ C4_GRAPHS = 1000  # the random DAGs of acceptance check C4
 
 
 def _copies_history(g: MulticopyGraph) -> tuple[UpsertHistory, int]:
-    """A history holding every stored copy, gaps and all, and its clock."""
-    copies = sorted((tv.ts, k, tv.value) for _, k, tv in _copies(g))
-    h = _history(g.keyspace_size, [(k, v, t) for t, k, v in copies])
-    return h, h.max_published_ts() + 1
+    """A history holding every stored copy, each timestamp that no copy
+    holds filled with a tombstone of key 0, and its clock."""
+    held = {tv.ts: (k, tv.value) for _, k, tv in _copies(g)}
+    top = max(held, default=0)
+    h = _history(
+        g.keyspace_size,
+        [(*held.get(t, (0, TOMBSTONE)), t) for t in range(1, top + 1)],
+    )
+    return h, top + 1
 
 
 def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
@@ -341,8 +349,16 @@ def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
 
 
 if __name__ == "__main__":
+    # List every case whose digest changes, so that a regeneration can be
+    # reviewed case by case, then write the new digests.
+    old = json.loads(DATA.read_text())["sha256"] if DATA.exists() else []
+    new, changed = [], 0
+    for i in range(CASES):
+        out = build_case(i)
+        new.append(digest(out))
+        if i >= len(old) or old[i] != new[-1]:
+            changed += 1
+            print(f"case {i} ({out['doctoring']}): digest changed")
+    print(f"{changed} of {CASES} digests changed")
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(
-        json.dumps({"sha256": [digest(build_case(i)) for i in range(CASES)]}, indent=0)
-        + "\n"
-    )
+    DATA.write_text(json.dumps({"sha256": new}, indent=0) + "\n")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
@@ -411,6 +412,26 @@ def test_check_files_rejects_a_trace_with_duplicate_timestamps(tmp_path):
     ok, out = check_files(snap_path, trace_path)
     assert not ok
     assert "error" in out and "valid history" in out["error"]
+
+
+def test_check_files_takes_a_trace_header_only_as_the_first_line(tmp_path):
+    # A header after an event would let that event's key escape the bound.
+    snap = tmp_path / "s.json"
+    snap.write_text('{"keyspace_size": 4, "root": 0, "nodes": [0]}')
+    header = json.dumps({"keyspace_size": 4})
+    search = json.dumps(
+        {"op": "search", "thread": 0, "key": 9, "value": None,
+         "t0": 0, "tp": 0, "snap": 0, "inv": 0, "resp": 1}
+    )
+    trace = tmp_path / "t.jsonl"
+    for lines, reason in (
+        ([header, search], "key 9 outside keyspace [0, 4) at line 2"),
+        ([search, header], "keyspace header is not the first line at line 2"),
+        (["", header, "", header], "keyspace header is not the first line at line 4"),
+    ):
+        trace.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MulticopyError, match=re.escape("malformed trace: " + reason)):
+            check_files(str(snap), str(trace))
 
 
 def test_check_files_rejects_a_trace_with_a_missing_upsert(tmp_path):

@@ -56,42 +56,35 @@ def test_contains_counts_implicit_initial_entries():
     h = small_history()
     assert h.contains(0, 7, 1)
     assert h.contains(2, TOMBSTONE, 4)
-    assert not h.contains(0, 9, 1)  # right key, wrong ts
+    assert not h.contains(0, 9, 1)  # right key and ts, wrong value
+    assert not h.contains(0, 7, 3)  # right key and value, wrong ts
     assert not h.contains(1, 7, 1)  # wrong key
     assert not h.contains(0, 7, 6)  # beyond the log
+    assert not h.contains(0, 7, -2)  # before the log
     for k in range(4):
         assert h.contains(k, TOMBSTONE, 0)
     assert not h.contains(0, 7, 0)
 
 
-def test_contains_finds_copies_in_a_gapped_history():
-    # record_upsert accepts gaps; the entry with timestamp t then no longer
-    # sits at index t-1.
+def test_a_gapped_history_cannot_be_recorded():
+    # Timestamps 2, 3, 7 skip 1 from the start: each is refused, and the
+    # history stays empty and holds none of them.
     h = UpsertHistory(4)
-    h.record_upsert(0, 5, 2)
-    h.record_upsert(1, 6, 3)
-    h.record_upsert(2, 7, 7)
-    assert h.contains(0, 5, 2)
-    assert h.contains(1, 6, 3)
-    assert h.contains(2, 7, 7)
-    assert not h.contains(0, 5, 1)
-    assert not h.contains(0, 6, 2)  # wrong value
-    assert not h.contains(1, 6, 2)  # wrong key
-    assert not h.contains(2, 7, 5)  # in a gap
-    assert not h.contains(2, 7, 8)  # beyond the log
-    assert not h.contains(0, 5, -2)
-    assert h.check_search_recency(0, 5, 2, 1).ok
-    assert h.dense_prefix() == 0
+    for k, v, t in ((0, 5, 2), (1, 6, 3), (2, 7, 7)):
+        with pytest.raises(HistoryCorruptionError, match=f"upsert timestamp {t} follows 0"):
+            h.record_upsert(k, v, t)
+        assert not h.contains(k, v, t)
+    assert len(h) == 0 and h.max_published_ts() == 0
 
 
-def test_dense_prefix_stops_at_the_first_gap():
-    assert UpsertHistory(4).dense_prefix() == 0
-    assert small_history().dense_prefix() == 5
+def test_record_upsert_stops_at_the_first_gap():
     for stamps, dense in (([1, 2, 4, 5], 2), ([2, 3], 0), ([1, 2, 3, 9], 3), ([1, 5], 1)):
         h = UpsertHistory(4)
-        for t in stamps:
+        for t in stamps[:dense]:
             h.record_upsert(0, 1, t)
-        assert h.dense_prefix() == dense, stamps
+        with pytest.raises(HistoryCorruptionError, match="without gaps"):
+            h.record_upsert(0, 1, stamps[dense])
+        assert list(h.entries()) == [(0, 1, t) for t in stamps[:dense]], stamps
 
 
 @given(
@@ -137,10 +130,11 @@ def test_record_upsert_rejects_broken_timestamps():
         h.record_upsert(0, 2, 1)  # duplicate
     with pytest.raises(HistoryCorruptionError):
         h.record_upsert(1, 2, 0)  # goes backwards
-    h.record_upsert(1, 2, 5)  # gaps are allowed, order is what matters
-    assert h.max_published_ts() == 5
+    with pytest.raises(HistoryCorruptionError, match="upsert timestamp 5 follows 1"):
+        h.record_upsert(1, 2, 5)  # skips 2 to 4
+    assert h.max_published_ts() == 1
     with pytest.raises(MulticopyError):
-        h.record_upsert(2, 1, 6)  # key outside the keyspace
+        h.record_upsert(2, 1, 2)  # key outside the keyspace
 
 
 def test_recording_fresh_keys_adds_no_gc_tracked_objects():

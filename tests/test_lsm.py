@@ -6,7 +6,13 @@ import time
 import pytest
 
 from multicopy.checker import check_invariants
-from multicopy.core import MulticopyError, TOMBSTONE, TimedValue, is_tombstone
+from multicopy.core import (
+    HistoryCorruptionError,
+    MulticopyError,
+    TOMBSTONE,
+    TimedValue,
+    is_tombstone,
+)
 from multicopy.df import DfStructure
 from multicopy.lsm import LsmStructure, MulticopyStructure, OrderCheckedLock
 from multicopy.history import UpsertHistory
@@ -65,14 +71,17 @@ def test_search_timed_reports_timestamp_and_snapshot():
     assert is_tombstone(missing.value) and missing.ts == 0
 
 
-def test_a_structure_over_a_gapped_history_passes_its_own_recency_check():
+def test_a_structure_takes_only_a_dense_history_and_passes_its_own_recency_check():
     h = UpsertHistory(4)
+    with pytest.raises(HistoryCorruptionError, match="upsert timestamp 2 follows 0"):
+        h.record_upsert(0, 5, 2)
+    h.record_upsert(0, 4, 1)
     h.record_upsert(0, 5, 2)
     root = NodeHandle(fresh_node_id(), ROOT_BUFFER, 4, {0: TimedValue(5, 2)})
     s = LsmStructure(4, root.id, [root], history=h)
     assert s.clock == 3
     probe = s.search_timed(0)
-    assert (probe.value, probe.ts, probe.snap) == (5, 2, 1)
+    assert (probe.value, probe.ts, probe.snap) == (5, 2, 2)
     rec = h.check_search_recency(0, probe.value, probe.ts, probe.snap)
     assert rec.ok, rec.reason
 
