@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .core import MulticopyError
 from .fixtures import REPLAYS, replay_fixture
+from .graph import save_graph
 from .harness import WorkloadConfig, check_files, run_stress
 
 SEED_ENV = "MULTICOPY_SEED"
@@ -105,19 +106,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command in ("stress", "bench"):
+        if args.command == "stress":
+            report = run_stress(_config_from_args(args))
+            if args.trace_out:
+                report.trace.dump(args.trace_out)
+            if args.snapshot_out:
+                save_graph(report.snapshot, args.snapshot_out)
+            if args.as_json:
+                print(json.dumps(report.to_json(), indent=2))
+            else:
+                print(report.format_text())
+            return 0 if report.ok else 1
+
+        if args.command == "bench":
             config = _config_from_args(args)
-            if args.command == "stress":
-                report = run_stress(
-                    config,
-                    trace_out=args.trace_out,
-                    snapshot_out=args.snapshot_out,
-                )
-                if args.as_json:
-                    print(json.dumps(report.to_json(), indent=2))
-                else:
-                    print(report.format_text())
-                return 0 if report.ok else 1
             report = run_stress(config, checked=False)
             if args.as_json:
                 print(

@@ -4,17 +4,19 @@ A run spawns worker threads that execute deterministic per-thread op streams
 (derived from the seed) against a fresh structure. The thread that called
 run_stress is the run's only background thread: it waits at the gate for its
 next job and does it. A job is a checkpoint, a maintenance pass a writer asked
-for because it found the root full, or, in periodic mode, a pass because the
-interval ended. In a checked run (the default) the structure's node locks log
-every break of the lock-order rule, and every search is checked online
-against the history the moment it returns. Checkpoints are requested at their
-marks: the worker whose op completes every checkpoint_every * threads ops asks
-for a pause, every worker parks at the gate (between operations, or while
-waiting holding no node lock), and the calling thread snapshots the
-structure, runs the full invariant suite plus cross-snapshot monotonicity,
-and resumes. At the end the recorded trace must linearize and the history
-predicates must hold. An unchecked run does none of this; it only runs the
-ops, on plain node locks, and times them.
+for because it found the root full (the writer stays parked until that pass
+ends), or, in periodic mode, a pass because the interval ended. In a checked
+run (the default) the structure's node locks log every break of the lock-order
+rule, and every search is checked online against the history the moment it
+returns. Checkpoints are requested at their marks: the worker whose op
+completes every checkpoint_every * threads ops asks for a pause, every worker
+parks at the gate (between operations, or while waiting holding no node lock),
+and the calling thread snapshots the structure, runs the full invariant suite
+plus cross-snapshot monotonicity, and resumes. At the end the recorded trace
+must linearize and the history predicates must hold. The report carries the
+trace and the final snapshot; writing them to files is left to the caller. An
+unchecked run does none of this; it only runs the ops, on plain node locks,
+and times them.
 
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
@@ -41,7 +43,7 @@ from .checker import (
 )
 from .core import TOMBSTONE, MulticopyError, check_keyspace
 from .df import DfStructure
-from .graph import MulticopyGraph, load_graph, save_graph
+from .graph import MulticopyGraph, load_graph
 from .history import (
     HistoryCorruptionError,
     HistoryPredicateReport,
@@ -151,20 +153,22 @@ def generate_ops(config: WorkloadConfig, thread_id: int) -> list[tuple]:
 class PauseGate:
     """Where the threads of a run meet, under one lock.
 
-    The participants are the workers. They are registered before their
-    threads start and deregister when they end. A participant parks at the
-    gate between operations (wait_if_paused), and also while it waits for a
-    maintenance pass holding no node lock (await_pass). pause() returns once
-    every registered participant is parked, which is what makes a checkpoint
+    The participants are the workers; the gate counts them from its
+    construction, so a pause cannot miss one that has not started yet, and
+    each deregisters when it ends. A participant parks at the gate between
+    operations (wait_if_paused), and also while it waits for a maintenance
+    pass holding no node lock (await_pass). pause() returns once every
+    participant still running is parked, which is what makes a checkpoint
     quiescent without touching any node lock, and nobody leaves the gate
     until resume().
 
     The thread that called run_stress is not a participant. It waits in
     next_job() for the next thing to do: a checkpoint, which a worker whose
     op reaches a mark asks for with request_pause(); a pass, which a writer
-    that finds the root full asks for with await_pass() and is woken from by
-    pass_done(); or, in periodic mode, the end of the interval. One thread
-    does both kinds of job, so a checkpoint never overlaps a pass.
+    that finds the root full asks for with await_pass() and stays parked
+    for until pass_done(); or, in periodic mode, the end of the interval.
+    One thread does both kinds of job, so a checkpoint never overlaps a
+    pass.
 
     Participants wait on one condition and the calling thread on a second
     one over the same lock, so that neither side's wake-ups disturb the
@@ -173,37 +177,31 @@ class PauseGate:
     wait_if_paused.
     """
 
-    def __init__(self):
+    def __init__(self, participants: int):
         lock = threading.Lock()
         self._cond = threading.Condition(lock)  # participants wait here
         self._coordinator = threading.Condition(lock)
         self._pausing = False
-        self._active = 0
+        self._active = participants
         self._paused = 0
         self._requests = 0  # checkpoint marks reached and not yet taken
         self._pass_wanted = False
         self._passes = 0  # maintenance passes finished
         self._stopped = False
 
-    def register(self) -> None:
-        with self._cond:
-            self._active += 1
-
     def deregister(self) -> None:
         with self._cond:
             self._active -= 1
             self._coordinator.notify_all()
 
-    def _park(self, ready: Callable[[], bool], timeout: Optional[float]) -> None:
+    def _park(self, ready: Callable[[], bool]) -> None:
         # Caller holds the condition and no node lock. Counts as parked until
-        # ready() holds or the timeout passes, and while a pause is pending.
+        # ready() holds and no pause is pending.
         self._paused += 1
         if self._pausing:
             self._coordinator.notify_all()
         try:
-            self._cond.wait_for(ready, timeout)
-            while self._pausing:
-                self._cond.wait()
+            self._cond.wait_for(lambda: ready() and not self._pausing)
         finally:
             self._paused -= 1
 
@@ -212,7 +210,7 @@ class PauseGate:
         which tells a worker to end its loop."""
         with self._cond:
             if self._pausing:
-                self._park(lambda: True, None)
+                self._park(lambda: True)
             return not self._stopped
 
     def pause(self) -> None:
@@ -255,14 +253,14 @@ class PauseGate:
             self._pass_wanted = False
             return "pass"
 
-    def await_pass(self, timeout: float) -> None:
-        """Ask for a maintenance pass and park until one ends, for at most
-        timeout seconds. Raises once the gate has stopped."""
+    def await_pass(self) -> None:
+        """Ask for a maintenance pass and park until one ends. Raises once
+        the gate has stopped."""
         with self._cond:
             seen = self._passes
             self._pass_wanted = True
             self._coordinator.notify_all()
-            self._park(lambda: self._passes != seen or self._stopped, timeout)
+            self._park(lambda: self._passes != seen or self._stopped)
             if self._stopped:
                 raise MulticopyError("maintenance has stopped; nothing makes room at the root")
 
@@ -399,24 +397,18 @@ def _build_structure(config: WorkloadConfig):
     return DfStructure.create(config.keyspace_size, config.root_capacity)
 
 
-def run_stress(
-    config: WorkloadConfig,
-    *,
-    checked: bool = True,
-    trace_out: Optional[str] = None,
-    snapshot_out: Optional[str] = None,
-) -> StressReport:
-    """Execute one configured run; see module doc. With checked=False no
-    checker runs and nothing is recorded, so no trace is written; the
-    report then carries only the counts, the timing and the final
-    snapshot."""
+def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
+    """Execute one configured run; see module doc. The report carries the
+    recorded trace and the final snapshot for the caller to write out. With
+    checked=False no checker runs and nothing is recorded, so the report
+    carries only the counts, the timing and the final snapshot."""
     config.validate()
     report = StressReport(config=config)
     structure = _build_structure(config)
     # Checked runs take order-checking node locks; unchecked ones keep the
     # plain locks, so their timings carry no instrument.
     lock_order = structure.check_lock_order() if checked else None
-    gate = PauseGate()
+    gate = PauseGate(config.threads)
     mode, interval = _parse_maintenance(config.maintenance)
 
     if mode == "on-fail":
@@ -425,7 +417,7 @@ def run_stress(
             structure.maintenance_pass()
     elif mode == "periodic":
         def make_room():
-            gate.await_pass(interval)
+            gate.await_pass()
     else:
         def make_room():
             raise MulticopyError(
@@ -523,10 +515,6 @@ def run_stress(
                 gate.resume()
 
     started = time.monotonic()
-    for _ in threads:
-        # Before any thread starts, so that no pause and no wait for a
-        # checkpoint can miss a worker that has not run yet.
-        gate.register()
     for t in threads:
         t.start()
     try:
@@ -563,15 +551,11 @@ def run_stress(
         report.search_count = len(trace.searches())
         report.upsert_count = len(trace.upserts())
         report.linearization = linearize(trace)
-        if trace_out:
-            trace.dump(trace_out)
         report.history_predicates = structure.history.verify_predicates(structure.clock)
 
     # A checked run reuses the final checkpoint's copy: nothing has changed
     # the structure since.
     report.snapshot = prev_graph if checked else structure.snapshot_graph()
-    if snapshot_out:
-        save_graph(report.snapshot, snapshot_out)
     return report
 
 
@@ -584,8 +568,6 @@ def check_files(snapshot_path: str, trace_path: str) -> tuple[bool, dict]:
     out: dict = {"snapshot": snapshot_path, "trace": trace_path}
     g = load_graph(snapshot_path)
     trace = Trace.load(trace_path)
-    if trace.keyspace_size < g.keyspace_size:
-        trace.keyspace_size = g.keyspace_size
     try:
         h, clock = trace.rebuild_history()
     except HistoryCorruptionError as e:

@@ -309,8 +309,10 @@ class Trace:
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Read a trace written by dump; a malformed line raises
-        MulticopyError naming the line."""
+        """Read a trace written by dump: a {"keyspace_size": N} header as the
+        first non-blank line, then one event a line, each key inside the
+        header's keyspace. A malformed or missing line raises MulticopyError
+        naming the line."""
         events: list[TraceEvent] = []
         keyspace_size = None
         with open(path) as f:
@@ -323,22 +325,22 @@ class Trace:
                 except json.JSONDecodeError as e:
                     raise MulticopyError(f"malformed trace: not JSON ({e}) at line {n}") from None
                 try:
-                    if isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj:
-                        # Only a header that comes first bounds every key.
-                        if events or keyspace_size is not None:
-                            raise MulticopyError("keyspace header is not the first line")
+                    header = isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj
+                    if keyspace_size is None:
+                        if not header:
+                            raise MulticopyError("the first line is not a keyspace header")
                         keyspace_size = obj["keyspace_size"]
                         check_keyspace(keyspace_size)
-                        continue
-                    event = event_from_json(obj)
-                    if keyspace_size is not None:
+                    elif header:
+                        raise MulticopyError("keyspace header is not the first line")
+                    else:
+                        event = event_from_json(obj)
                         check_key(event.key, keyspace_size)
-                    events.append(event)
+                        events.append(event)
                 except MulticopyError as e:
                     raise MulticopyError(f"malformed trace: {e} at line {n}") from None
         if keyspace_size is None:
-            # Tolerate headerless traces; infer a bound from the events.
-            keyspace_size = 1 + max((e.key for e in events), default=0)
+            raise MulticopyError("malformed trace: no keyspace header")
         return cls(keyspace_size=keyspace_size, events=events)
 
     def rebuild_history(self) -> tuple[UpsertHistory, Timestamp]:

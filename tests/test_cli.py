@@ -160,6 +160,44 @@ def test_check_malformed_trace_fails_cleanly(tmp_path, capsys, line, reason):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (
+            '{"op": "search", "thread": 0, "key": -1, "value": null,'
+            ' "t0": 0, "tp": 0, "snap": 0, "inv": 0, "resp": 1}\n',
+            "the first line is not a keyspace header at line 1",
+        ),
+        (
+            '{"op": "upsert", "thread": 0, "key": -1, "value": 5, "ts": 1, "inv": 0, "resp": 1}\n',
+            "the first line is not a keyspace header at line 1",
+        ),
+        ("\n", "no keyspace header"),
+    ],
+)
+def test_check_rejects_a_trace_without_a_header(tmp_path, capsys, text, reason):
+    # Without a header nothing bounds the keys, not even from below.
+    snap = tmp_path / "s.json"
+    trace = tmp_path / "t.jsonl"
+    snap.write_text('{"keyspace_size": 4, "root": 0, "nodes": [0]}')
+    trace.write_text(text)
+    assert main(["check", str(snap), str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "result: OK" not in captured.out
+    assert captured.err == f"error: malformed trace: {reason}\n"
+
+
+def test_check_rejects_a_trace_narrower_than_its_snapshot(tmp_path, capsys):
+    snap = tmp_path / "s.json"
+    trace = tmp_path / "t.jsonl"
+    snap.write_text('{"keyspace_size": 8, "root": 0, "nodes": [0]}')
+    trace.write_text(json.dumps({"keyspace_size": 4}) + "\n")
+    assert main(["check", str(snap), str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: history keyspace 4 is narrower than the snapshot keyspace 8")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_stress_json_output(capsys):
     rc = main(STRESS_SMALL + ["--json"])
     obj = json.loads(capsys.readouterr().out)

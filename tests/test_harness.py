@@ -10,6 +10,7 @@ import pytest
 
 from multicopy import harness
 from multicopy.core import TOMBSTONE, MulticopyError, route
+from multicopy.graph import save_graph
 from multicopy.harness import (
     PauseGate,
     WorkloadConfig,
@@ -96,13 +97,20 @@ def test_config_validation():
         small_config(maintenance=ok).validate()
 
 
+def _started(target, *args):
+    # Daemon threads, so that a test which fails while one still waits at
+    # the gate ends instead of hanging the run.
+    t = threading.Thread(target=target, args=args, daemon=True)
+    t.start()
+    return t
+
+
 def test_pause_gate_quiesces_every_participant():
-    gate = PauseGate()
+    gate = PauseGate(2)
     ticks = [0, 0]
     stop = threading.Event()
 
     def loop(i):
-        gate.register()
         try:
             while not stop.is_set():
                 gate.wait_if_paused()
@@ -110,25 +118,88 @@ def test_pause_gate_quiesces_every_participant():
         finally:
             gate.deregister()
 
-    threads = [threading.Thread(target=loop, args=(i,)) for i in range(2)]
-    for t in threads:
-        t.start()
-    while ticks[0] == 0 or ticks[1] == 0:
-        time.sleep(0.001)
-    gate.pause()
-    frozen = tuple(ticks)
-    time.sleep(0.05)
-    assert tuple(ticks) == frozen  # everyone parked, nothing moves
-    gate.resume()
-    deadline = time.monotonic() + 5
-    while tuple(ticks) == frozen and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert tuple(ticks) != frozen
-    stop.set()
+    threads = [_started(loop, i) for i in range(2)]
+    try:
+        while ticks[0] == 0 or ticks[1] == 0:
+            time.sleep(0.001)
+        gate.pause()
+        frozen = tuple(ticks)
+        time.sleep(0.05)
+        assert tuple(ticks) == frozen  # everyone parked, nothing moves
+        gate.resume()
+        deadline = time.monotonic() + 5
+        while tuple(ticks) == frozen and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert tuple(ticks) != frozen
+    finally:
+        stop.set()
     gate.pause()  # pausing after workers exit must not hang
     gate.resume()
     for t in threads:
-        t.join()
+        t.join(5)
+        assert not t.is_alive()
+
+
+def test_a_pass_wait_has_no_timeout():
+    gate = PauseGate(1)
+    raised = [None, None]
+    jobs = []
+
+    def writer(i):
+        try:
+            gate.await_pass()
+        except MulticopyError as e:
+            raised[i] = e
+
+    def take_job():
+        jobs.append(gate.next_job(None))
+
+    first = _started(writer, 0)
+    _started(take_job).join(5)
+    assert jobs == ["pass"]
+    first.join(0.05)
+    assert first.is_alive()  # parked until the pass ends
+    gate.pass_done()
+    first.join(5)
+    assert not first.is_alive() and raised[0] is None
+
+    second = _started(writer, 1)
+    _started(take_job).join(5)
+    assert jobs == ["pass", "pass"]
+    second.join(0.05)
+    assert second.is_alive()
+    gate.stop()
+    second.join(5)
+    assert not second.is_alive()
+    assert isinstance(raised[1], MulticopyError)
+
+
+def test_a_counted_gate_waits_for_participants_that_have_not_started():
+    gate = PauseGate(2)
+    paused = threading.Event()
+    left = []
+
+    def pauser():
+        gate.pause()
+        paused.set()
+
+    def participant(i):
+        gate.wait_if_paused()
+        left.append(i)
+        gate.deregister()
+
+    _started(pauser)
+    assert not paused.wait(0.05)  # neither participant exists yet
+    first = _started(participant, 0)
+    assert not paused.wait(0.05)  # one of two is parked
+    second = _started(participant, 1)
+    assert paused.wait(5)
+    assert left == []  # both parked in wait_if_paused
+    gate.resume()
+    for t in (first, second):
+        t.join(5)
+        assert not t.is_alive()
+    assert sorted(left) == [0, 1]
 
 
 def test_stress_run_reports_clean_and_complete():
@@ -371,9 +442,9 @@ def test_bench_mode_skips_recording(monkeypatch):
 def test_stress_writes_verifiable_files(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
-    report = run_stress(
-        small_config(), trace_out=trace_path, snapshot_out=snap_path
-    )
+    report = run_stress(small_config())
+    report.trace.dump(trace_path)
+    save_graph(report.snapshot, snap_path)
     assert report.ok
     ok, out = check_files(snap_path, trace_path)
     assert ok, out
@@ -383,11 +454,9 @@ def test_stress_writes_verifiable_files(tmp_path):
 def test_check_files_rejects_a_doctored_snapshot(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
-    run_stress(
-        small_config(maintenance="off", root_capacity=16),
-        trace_out=trace_path,
-        snapshot_out=snap_path,
-    )
+    report = run_stress(small_config(maintenance="off", root_capacity=16))
+    report.trace.dump(trace_path)
+    save_graph(report.snapshot, snap_path)
     obj = json.loads(Path(snap_path).read_text())
     node, contents = next(iter(obj["contents"].items()))
     key = next(iter(contents))
@@ -401,7 +470,9 @@ def test_check_files_rejects_a_doctored_snapshot(tmp_path):
 def test_check_files_rejects_a_trace_with_duplicate_timestamps(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
-    run_stress(small_config(), trace_out=trace_path, snapshot_out=snap_path)
+    report = run_stress(small_config())
+    report.trace.dump(trace_path)
+    save_graph(report.snapshot, snap_path)
     lines = Path(trace_path).read_text().splitlines()
     ups = [i for i, l in enumerate(lines) if '"op": "upsert"' in l]
     a = json.loads(lines[ups[0]])
@@ -415,7 +486,7 @@ def test_check_files_rejects_a_trace_with_duplicate_timestamps(tmp_path):
 
 
 def test_check_files_takes_a_trace_header_only_as_the_first_line(tmp_path):
-    # A header after an event would let that event's key escape the bound.
+    # Only a header on the first line bounds every key that follows it.
     snap = tmp_path / "s.json"
     snap.write_text('{"keyspace_size": 4, "root": 0, "nodes": [0]}')
     header = json.dumps({"keyspace_size": 4})
@@ -426,7 +497,7 @@ def test_check_files_takes_a_trace_header_only_as_the_first_line(tmp_path):
     trace = tmp_path / "t.jsonl"
     for lines, reason in (
         ([header, search], "key 9 outside keyspace [0, 4) at line 2"),
-        ([search, header], "keyspace header is not the first line at line 2"),
+        ([search, header], "the first line is not a keyspace header at line 1"),
         (["", header, "", header], "keyspace header is not the first line at line 4"),
     ):
         trace.write_text("\n".join(lines) + "\n")
@@ -437,7 +508,9 @@ def test_check_files_takes_a_trace_header_only_as_the_first_line(tmp_path):
 def test_check_files_rejects_a_trace_with_a_missing_upsert(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
-    run_stress(small_config(), trace_out=trace_path, snapshot_out=snap_path)
+    report = run_stress(small_config())
+    report.trace.dump(trace_path)
+    save_graph(report.snapshot, snap_path)
     lines = Path(trace_path).read_text().splitlines()
     events = [json.loads(l) for l in lines]
     del lines[next(i for i, e in enumerate(events) if e.get("op") == "upsert" and e["ts"] == 1)]
