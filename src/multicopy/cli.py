@@ -107,7 +107,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.command == "stress":
-            report = run_stress(_config_from_args(args))
+            config = _config_from_args(args)
+            # A path that cannot be written fails here, before any op runs;
+            # append mode truncates nothing.
+            for path in (args.trace_out, args.snapshot_out):
+                if path:
+                    open(path, "a").close()
+            report = run_stress(config)
             if args.trace_out:
                 report.trace.dump(args.trace_out)
             if args.snapshot_out:
@@ -165,10 +171,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         print(f"[FAIL] linearization: {lin['failure']}")
                 print("result: " + ("OK" if ok else "VIOLATIONS FOUND"))
             return 0 if ok else 1
-    except MulticopyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (MulticopyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -16,8 +16,6 @@ from .lsm import MulticopyStructure
 from .nodes import (
     NodeHandle,
     NodeId,
-    ROOT_BUFFER,
-    SORTED_TABLE,
     fresh_node_id,
     merge_contents,  # noqa: F401  perfbench/tracing.py hooks df.merge_contents
 )
@@ -32,8 +30,8 @@ class DfStructure(MulticopyStructure):
         keyspace_size: int,
         root_capacity: int,
     ) -> "DfStructure":
-        root = NodeHandle(fresh_node_id(), ROOT_BUFFER, root_capacity)
-        disk = NodeHandle(fresh_node_id(), SORTED_TABLE, capacity=None)
+        root = NodeHandle(fresh_node_id(), root_capacity)
+        disk = NodeHandle(fresh_node_id(), capacity=None)
         root.succ_edgesets[disk.id] = frozenset(range(keyspace_size))
         return cls(keyspace_size, root.id, [root, disk])
 

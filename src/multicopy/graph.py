@@ -42,6 +42,7 @@ from .core import (
     NodeId,
     StructuralError,
     TimedValue,
+    check_key,
     check_keyspace,
     decode_value,
     encode_value,
@@ -310,6 +311,16 @@ def _node_id(raw: object) -> NodeId:
     return int_field(raw, "node id")
 
 
+def _decode_records(raw: dict, keyspace_size: int) -> dict[Key, TimedValue]:
+    """Copies by key, as written for contents and succ_reach."""
+    out: dict[Key, TimedValue] = {}
+    for k_s, tv in raw.items():
+        k = int(k_s)
+        check_key(k, keyspace_size)
+        out[k] = _decode_tv(tv)
+    return out
+
+
 def graph_to_json(g: MulticopyGraph) -> dict:
     return {
         "keyspace_size": g.keyspace_size,
@@ -330,24 +341,26 @@ def graph_to_json(g: MulticopyGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> MulticopyGraph:
-    """Rebuild a snapshot; a malformed one raises MulticopyError."""
+    """Rebuild a snapshot; a malformed one raises MulticopyError. Every key
+    it names, in contents, edgesets and succ_reach, must lie in its keyspace."""
     if not isinstance(obj, dict):
         raise MulticopyError("malformed snapshot: expected a JSON object")
     try:
-        check_keyspace(obj["keyspace_size"])
+        size = obj["keyspace_size"]
+        check_keyspace(size)
         g = MulticopyGraph(
-            keyspace_size=obj["keyspace_size"],
+            keyspace_size=size,
             root=_node_id(obj["root"]),
             nodes={_node_id(n) for n in obj["nodes"]},
         )
         for n_s, c in obj.get("contents", {}).items():
-            g.contents[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in c.items()}
-        for n, m, ks in obj.get("edgesets", []):
-            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(
-                int_field(k, "key") for k in ks
-            )
+            g.contents[int(n_s)] = _decode_records(c, size)
+        for n, m, keys in obj.get("edgesets", []):
+            for k in keys:
+                check_key(k, size)
+            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(keys)
         for n_s, sr in obj.get("succ_reach", {}).items():
-            g.succ_reach[int(n_s)] = {int(k): _decode_tv(tv) for k, tv in sr.items()}
+            g.succ_reach[int(n_s)] = _decode_records(sr, size)
     except KeyError as e:
         raise MulticopyError(f"malformed snapshot: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError, MulticopyError) as e:

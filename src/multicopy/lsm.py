@@ -34,9 +34,10 @@ first) is a stress-run instrument: check_lock_order() swaps every node lock,
 present and future, for one that reports to a LockOrderLog, and run_stress
 does so before its workers start. Other callers never pay for it.
 
-A structure is built over given nodes and the upsert history that filled
-them, which fix the rest: the clock continues after the newest timestamp, and
-each node's succ_reach starts as the copies its successors hold.
+A structure is built over a well-formed node graph, whose shape the
+constructor checks once, and the upsert history that filled it; they fix the
+rest: the clock continues after the newest timestamp, and each node's
+succ_reach starts as the copies its successors hold.
 
 LsmStructure specializes the template to the log-structured shape: a small
 root and a chain of exponentially growing tables that appears as compaction
@@ -52,6 +53,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .core import (
     Key,
     MulticopyError,
+    StructuralError,
     TimedValue,
     Timestamp,
     TOMBSTONE,
@@ -61,12 +63,11 @@ from .core import (
     route,
     routed_keys,
 )
-from .graph import MulticopyGraph, derive_succ_reach
+from .graph import MulticopyGraph, derive_succ_reach, structural_issues
 from .history import UpsertHistory
 from .nodes import (
     NodeHandle,
     NodeId,
-    ROOT_BUFFER,
     alloc_node,
     fresh_node_id,
     insert_node,
@@ -200,18 +201,17 @@ class MulticopyStructure:
         self.keyspace_size = keyspace_size
         self.growth_factor = growth_factor
         self._handles: dict[NodeId, NodeHandle] = {h.id: h for h in handles}
-        if root not in self._handles:
-            raise MulticopyError(f"root {root} not among the given nodes")
-        if self._handles[root].kind != ROOT_BUFFER:
-            raise MulticopyError("root node must be a root buffer")
+        given = graph_of(keyspace_size, root, self._handles.values(), {})
+        issues = structural_issues(given)
+        if issues:
+            fields = " ".join(f"{k}={v}" for k, v in issues[0].items())
+            raise StructuralError(f"malformed node graph: {fields}")
         self._root = root
         self._lock_order: Optional[LockOrderLog] = None
         self._locks: dict[NodeId, threading.Lock | OrderCheckedLock] = {
             i: threading.Lock() for i in self._handles
         }
-        self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(
-            graph_of(keyspace_size, root, self._handles.values(), {})
-        )
+        self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(given)
         self.history = history if history is not None else UpsertHistory(keyspace_size)
         self._clock = self.history.max_published_ts() + 1
         self._all_keys: Optional[frozenset[Key]] = None
@@ -423,5 +423,5 @@ class LsmStructure(MulticopyStructure):
         root_capacity: int,
         growth_factor: int = 2,
     ) -> "LsmStructure":
-        root = NodeHandle(fresh_node_id(), ROOT_BUFFER, root_capacity)
+        root = NodeHandle(fresh_node_id(), root_capacity)
         return cls(keyspace_size, root.id, [root], growth_factor=growth_factor)

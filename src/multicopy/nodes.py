@@ -1,11 +1,11 @@
 """Nodes: one record store per node, a plain insertion-ordered dict.
 
 Every node keeps its live records in a dict from key to TimedValue, so a
-lookup is one dict probe and a key holds at most one copy per node. The
-node's kind is only its role: the ROOT_BUFFER is the one node that accepts
-writes (add_contents), and a SORTED_TABLE only changes through merges.
-Nothing keeps a table sorted in place. Capacity bounds live records, so an
-overwrite never fails even at a full root.
+lookup is one dict probe and a key holds at most one copy per node. Nodes
+have no roles: a structure is built over a well-formed node graph, names its
+root, writes only there (add_contents) and changes every other node through
+merges. Nothing keeps a node sorted in place. Capacity bounds live records,
+so an overwrite never fails even at a full root.
 
 The move between nodes is merge_contents: pick the source's live keys that
 the connecting edge owns, in key order, as long as the target keeps fitting
@@ -24,7 +24,7 @@ target.
 from __future__ import annotations
 
 import itertools
-from typing import Literal, Optional
+from typing import Optional
 
 from .core import (
     EdgesetDisjointnessError,
@@ -37,9 +37,6 @@ from .core import (
     Value,
     routed_keys,
 )
-
-ROOT_BUFFER: Literal["root_buffer"] = "root_buffer"
-SORTED_TABLE: Literal["sorted_table"] = "sorted_table"
 
 _fresh_ids = itertools.count()
 
@@ -58,16 +55,12 @@ class NodeHandle:
     def __init__(
         self,
         node_id: NodeId,
-        kind: str,
         capacity: Optional[int],
         entries: Optional[NodeContents] = None,
     ):
-        if kind not in (ROOT_BUFFER, SORTED_TABLE):
-            raise MulticopyError(f"unknown node kind {kind!r}")
         if capacity is not None and capacity < 1:
             raise MulticopyError("capacity must be positive or None (unbounded)")
         self.id = node_id
-        self.kind = kind
         self.capacity = capacity
         self.succ_edgesets: dict[NodeId, frozenset[Key]] = {}
         self._records: NodeContents = dict(entries or {})
@@ -91,12 +84,7 @@ class NodeHandle:
     # --- writes ------------------------------------------------------------
 
     def add_contents(self, key: Key, value: Value, ts: Timestamp) -> bool:
-        """Write a fresh copy; False when a full node would need a new record.
-
-        Only the root buffer accepts writes; tables change through merges.
-        """
-        if self.kind != ROOT_BUFFER:
-            raise MulticopyError("add_contents requires a root buffer node")
+        """Write a fresh copy; False when a full node would need a new record."""
         recs = self._records
         if key not in recs and self.capacity is not None and len(recs) >= self.capacity:
             return False
@@ -125,14 +113,14 @@ class NodeHandle:
 
     def __repr__(self) -> str:
         return (
-            f"NodeHandle(id={self.id}, kind={self.kind}, "
-            f"live={self.live_count()}, cap={self.capacity})"
+            f"NodeHandle(id={self.id}, live={self.live_count()}, "
+            f"cap={self.capacity})"
         )
 
 
 def alloc_node(capacity: Optional[int]) -> NodeHandle:
-    """Fresh, empty, unlinked table with a process-unique id."""
-    return NodeHandle(fresh_node_id(), SORTED_TABLE, capacity)
+    """Fresh, empty, unlinked node with a process-unique id."""
+    return NodeHandle(fresh_node_id(), capacity)
 
 
 def insert_node(n: NodeHandle, m: NodeHandle, keys: frozenset[Key]) -> None:
@@ -160,8 +148,6 @@ def merge_contents(n: NodeHandle, m: NodeHandle) -> NodeContents:
     m has room (overwrites are free; a key that does not fit is skipped and
     the scan goes on). The caller holds both nodes' locks.
     """
-    if m.kind != SORTED_TABLE:
-        raise MulticopyError("merge target must be a sorted table")
     es = n.succ_edgesets.get(m.id)
     if es is None:
         raise MulticopyError(f"no edge {n.id}->{m.id} to merge along")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import multicopy
+from multicopy import cli
 from multicopy.cli import SEED_ENV, main
 
 STRESS_SMALL = [
@@ -89,6 +90,21 @@ def test_check_flags_violations(tmp_path, capsys):
 def test_check_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["check", str(tmp_path / "no.json"), str(tmp_path / "no.jsonl")]) == 1
     assert "error" in capsys.readouterr().err
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"keyspace_size": 4}) + "\n")
+    assert main(["check", str(tmp_path), str(trace)]) == 1  # a directory
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--snapshot-out"])
+def test_stress_unwritable_output_fails_before_any_op(tmp_path, capsys, monkeypatch, flag):
+    runs = []
+    monkeypatch.setattr(cli, "run_stress", lambda *a, **k: runs.append(a))
+    assert main(STRESS_SMALL + [flag, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert runs == []
 
 
 @pytest.mark.parametrize(
@@ -110,6 +126,23 @@ def test_check_missing_file_fails_cleanly(tmp_path, capsys):
         (
             '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, ["0", "1"]]]}',
             "key must be an int, got '0'",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, [0, 999]]]}',
+            "key 999 outside keyspace [0, 4)",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, [-5, 0]]]}',
+            "key -5 outside keyspace [0, 4)",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0], "contents": {"0": {"999": [5, 1]}}}',
+            "key 999 outside keyspace [0, 4)",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, [0]]],'
+            ' "succ_reach": {"0": {"999": [5, 1]}}}',
+            "key 999 outside keyspace [0, 4)",
         ),
     ],
 )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from multicopy import harness
+from multicopy import harness, lsm
 from multicopy.core import TOMBSTONE, MulticopyError, route
 from multicopy.graph import save_graph
 from multicopy.harness import (
@@ -20,6 +20,7 @@ from multicopy.harness import (
 )
 from multicopy.history import UpsertHistory
 from multicopy.lsm import LsmStructure, MulticopyStructure, SearchProbe
+from multicopy.nodes import NodeHandle
 
 
 def small_config(**kw):
@@ -421,6 +422,36 @@ def test_stress_df_structure():
     report = run_stress(small_config(structure="df", threads=3))
     assert report.ok, report.format_text()
     assert report.final_nodes == 2
+
+
+@pytest.mark.parametrize(
+    "structure, maintenance",
+    [("lsm", "on-fail"), ("lsm", "periodic:1"), ("df", "periodic:1")],
+)
+def test_the_template_writes_only_to_its_root_and_never_merges_into_it(
+    monkeypatch, structure, maintenance
+):
+    # Nodes have no roles, so nothing at run time stops a write below the
+    # root or a merge into it: the template itself must never do either.
+    written, merged_into = set(), set()
+    add_contents, merge_contents = NodeHandle.add_contents, lsm.merge_contents
+
+    def recorded_add(self, key, value, ts):
+        written.add(self.id)
+        return add_contents(self, key, value, ts)
+
+    def recorded_merge(n, m):
+        merged_into.add(m.id)
+        return merge_contents(n, m)
+
+    monkeypatch.setattr(NodeHandle, "add_contents", recorded_add)
+    monkeypatch.setattr(lsm, "merge_contents", recorded_merge)
+    report = run_stress(
+        small_config(structure=structure, maintenance=maintenance, root_capacity=4)
+    )
+    assert report.ok, report.format_text()
+    assert written == {report.snapshot.root}
+    assert merged_into and report.snapshot.root not in merged_into
 
 
 def test_bench_mode_skips_recording(monkeypatch):

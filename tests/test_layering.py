@@ -8,7 +8,8 @@ domain types and the routing rule, is the one module both sides use.
 In the other direction, the template (core.py, nodes.py, lsm.py, df.py)
 imports nothing that drives or checks it: not the checker, the stress
 harness, the bundled scenarios or the command line. It may use graph.py and
-history.py for its snapshots and its upsert log.
+history.py for its snapshots and its upsert log, and graph.py to check the
+shape of the node graph it is given.
 """
 
 from __future__ import annotations

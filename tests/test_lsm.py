@@ -9,6 +9,7 @@ from multicopy.checker import check_invariants
 from multicopy.core import (
     HistoryCorruptionError,
     MulticopyError,
+    StructuralError,
     TOMBSTONE,
     TimedValue,
     is_tombstone,
@@ -16,7 +17,7 @@ from multicopy.core import (
 from multicopy.df import DfStructure
 from multicopy.lsm import LsmStructure, MulticopyStructure, OrderCheckedLock
 from multicopy.history import UpsertHistory
-from multicopy.nodes import NodeHandle, ROOT_BUFFER, SORTED_TABLE, fresh_node_id
+from multicopy.nodes import NodeHandle, fresh_node_id
 
 
 def run_random_ops(s, rng, n_ops, oracle=None):
@@ -77,7 +78,7 @@ def test_a_structure_takes_only_a_dense_history_and_passes_its_own_recency_check
         h.record_upsert(0, 5, 2)
     h.record_upsert(0, 4, 1)
     h.record_upsert(0, 5, 2)
-    root = NodeHandle(fresh_node_id(), ROOT_BUFFER, 4, {0: TimedValue(5, 2)})
+    root = NodeHandle(fresh_node_id(), 4, {0: TimedValue(5, 2)})
     s = LsmStructure(4, root.id, [root], history=h)
     assert s.clock == 3
     probe = s.search_timed(0)
@@ -114,7 +115,7 @@ def test_flush_grows_a_doubling_chain():
     ids = s.node_ids()
     assert len(ids) == 2
     t1 = s.handle(next(i for i in ids if i != s.root_id))
-    assert t1.kind == SORTED_TABLE and t1.capacity == 4
+    assert t1.capacity == 4
     assert t1.contents() == {0: s.history.max_ts(0), 1: s.history.max_ts(1)}
     # The root's recorded view of its successor covers the moved keys.
     g = s.snapshot_graph()
@@ -258,18 +259,29 @@ def test_snapshot_is_isolated_from_later_writes():
 
 
 def test_constructor_validation():
-    root = NodeHandle(900, ROOT_BUFFER, 4)
-    table = NodeHandle(901, SORTED_TABLE, 4)
+    root = NodeHandle(900, 4)
     with pytest.raises(MulticopyError):
         MulticopyStructure(0, root.id, [root])
-    with pytest.raises(MulticopyError):
+    with pytest.raises(StructuralError, match="kind=root_missing root=999"):
         MulticopyStructure(4, 999, [root])
-    with pytest.raises(MulticopyError):
-        MulticopyStructure(4, table.id, [table])  # root must be a buffer
     with pytest.raises(MulticopyError):
         MulticopyStructure(4, root.id, [root], growth_factor=0)
     with pytest.raises(MulticopyError):
         LsmStructure.create(keyspace_size=4, root_capacity=4).upsert(4, 1)
+    # Malformed shapes are only built, never searched: a search over the
+    # cycle would never return.
+    a, b, c = NodeHandle(910, 4), NodeHandle(911, 4), NodeHandle(912, 4)
+    a.succ_edgesets = {b.id: frozenset({0})}
+    b.succ_edgesets = {a.id: frozenset({0})}
+    with pytest.raises(StructuralError, match="kind=cycle"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset({0}), 9999: frozenset({1})}
+    b.succ_edgesets = {}
+    with pytest.raises(StructuralError, match="kind=dangling_edge src=910 dst=9999"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset({0, 1}), c.id: frozenset({1, 2})}
+    with pytest.raises(StructuralError, match="kind=edgeset_overlap node=910 succ_a=911 succ_b=912"):
+        LsmStructure(4, a.id, [a, b, c])
 
 
 def test_concurrent_hammering_stays_sound():

@@ -10,8 +10,6 @@ from multicopy.core import (
 )
 from multicopy.nodes import (
     NodeHandle,
-    ROOT_BUFFER,
-    SORTED_TABLE,
     alloc_node,
     fresh_node_id,
     insert_node,
@@ -19,16 +17,12 @@ from multicopy.nodes import (
 )
 
 
-def buffer(node_id=1, capacity=4, entries=None):
-    return NodeHandle(node_id, ROOT_BUFFER, capacity, entries)
-
-
-def table(node_id=2, capacity=4, entries=None):
-    return NodeHandle(node_id, SORTED_TABLE, capacity, entries)
+def node(node_id=1, capacity=4, entries=None):
+    return NodeHandle(node_id, capacity, entries)
 
 
 def test_buffer_add_and_overwrite():
-    b = buffer(capacity=2)
+    b = node(capacity=2)
     assert b.add_contents(3, 7, 1)
     assert b.in_contents(3) == TimedValue(7, 1)
     assert b.add_contents(3, 8, 2)  # overwrite, still one live record
@@ -43,7 +37,7 @@ def test_buffer_add_and_overwrite():
 
 
 def test_full_buffer_accepts_overwrites_and_stays_bounded():
-    b = buffer(capacity=3)
+    b = node(capacity=3)
     for ts in range(1, 40):
         # Every write after the third lands at a full root; all overwrite.
         assert b.add_contents(ts % 3, ts, ts)
@@ -57,7 +51,7 @@ def test_full_buffer_accepts_overwrites_and_stays_bounded():
 
 
 def test_buffer_capacity_bounds_live_records_not_writes():
-    b = buffer(capacity=1)
+    b = node(capacity=1)
     assert b.add_contents(0, 1, 1)
     for ts in range(2, 10):
         assert b.add_contents(0, ts, ts)
@@ -66,29 +60,25 @@ def test_buffer_capacity_bounds_live_records_not_writes():
 
 
 def test_unbounded_node_never_reports_full():
-    b = buffer(capacity=None)
+    b = node(capacity=None)
     for k in range(100):
         assert b.add_contents(k, k, k + 1)
     assert not b.at_capacity()
 
 
-def test_table_rejects_writes():
-    t = table(entries={5: TimedValue(1, 1), 2: TimedValue(2, 2), 9: TimedValue(3, 3)})
+def test_in_contents_finds_only_the_nodes_own_copies():
+    t = node(entries={5: TimedValue(1, 1), 2: TimedValue(2, 2), 9: TimedValue(3, 3)})
     assert t.in_contents(5) == TimedValue(1, 1)
     assert t.in_contents(4) is None
-    with pytest.raises(MulticopyError):
-        t.add_contents(0, 1, 4)
 
 
 def test_node_constructor_validation():
     with pytest.raises(MulticopyError):
-        NodeHandle(1, "heap", 4)
-    with pytest.raises(MulticopyError):
-        NodeHandle(1, ROOT_BUFFER, 0)
+        NodeHandle(1, 0)
 
 
 def test_choose_next_prefers_most_coverage_then_smaller_id():
-    b = buffer(entries={0: TimedValue(1, 1), 1: TimedValue(1, 2), 5: TimedValue(1, 3)})
+    b = node(entries={0: TimedValue(1, 1), 1: TimedValue(1, 2), 5: TimedValue(1, 3)})
     b.succ_edgesets = {20: frozenset({0}), 12: frozenset({1, 5})}
     assert b.choose_next() == 12
     b.succ_edgesets = {20: frozenset({0}), 12: frozenset({1})}
@@ -98,25 +88,25 @@ def test_choose_next_prefers_most_coverage_then_smaller_id():
 
 
 def test_choose_next_with_one_successor_asks_only_whether_it_overlaps():
-    b = buffer(entries={3: TimedValue(1, 1), 9: TimedValue(1, 2)})
+    b = node(entries={3: TimedValue(1, 1), 9: TimedValue(1, 2)})
     b.succ_edgesets = {30: frozenset({0, 1, 2})}
     assert b.choose_next() is None  # disjoint: a new node is needed
     b.succ_edgesets = {30: frozenset({1, 9})}
     assert b.choose_next() == 30  # one live key in the edgeset is enough
     b.succ_edgesets = {30: frozenset(range(1 << 16))}
     assert b.choose_next() == 30
-    assert buffer(entries={}).choose_next() is None  # no successor at all
+    assert node(entries={}).choose_next() is None  # no successor at all
 
 
 def test_alloc_node_yields_distinct_unlinked_tables():
     a, b = alloc_node(8), alloc_node(8)
     assert a.id != b.id
-    assert a.kind == SORTED_TABLE and a.live_count() == 0
+    assert a.live_count() == 0 and not a.succ_edgesets
     assert fresh_node_id() > b.id
 
 
 def test_insert_node_guards():
-    n, m, p = buffer(1), table(2), table(3)
+    n, m, p = node(1), node(2), node(3)
     insert_node(n, m, frozenset({0, 1}))
     assert n.succ_edgesets[2] == frozenset({0, 1})
     with pytest.raises(MulticopyError):
@@ -128,22 +118,19 @@ def test_insert_node_guards():
     insert_node(n, p, frozenset({2}))
 
 
-def test_merge_requires_table_target_and_edge():
-    n, m = buffer(1), table(2)
+def test_merge_requires_an_edge():
+    n, m = node(1), node(2)
     with pytest.raises(MulticopyError):
         merge_contents(n, m)  # no edge yet
     insert_node(n, m, frozenset({0}))
-    other = buffer(3)
-    insert_node(n, other, frozenset({1}))
-    with pytest.raises(MulticopyError):
-        merge_contents(n, other)  # buffers cannot absorb merges
+    merge_contents(n, m)
 
 
 def test_merge_moves_edge_keys_and_overwrites_for_free():
-    n = buffer(1, capacity=4, entries={
+    n = node(1, capacity=4, entries={
         0: TimedValue(10, 5), 1: TimedValue(11, 6), 2: TimedValue(12, 7),
     })
-    m = table(2, capacity=3, entries={1: TimedValue(1, 1), 3: TimedValue(3, 2)})
+    m = node(2, capacity=3, entries={1: TimedValue(1, 1), 3: TimedValue(3, 2)})
     insert_node(n, m, frozenset({0, 1, 2, 3}))
     # Room for one new record. Key order: k0 takes the slot, k1 overwrites
     # for free, k2 is skipped.
@@ -155,16 +142,16 @@ def test_merge_moves_edge_keys_and_overwrites_for_free():
 
 
 def test_merge_into_full_target_moves_nothing_new():
-    n = buffer(1, entries={0: TimedValue(1, 3)})
-    m = table(2, capacity=1, entries={5: TimedValue(2, 1)})
+    n = node(1, entries={0: TimedValue(1, 3)})
+    m = node(2, capacity=1, entries={5: TimedValue(2, 1)})
     insert_node(n, m, frozenset({0, 5}))
     assert set(merge_contents(n, m)) == set()
     assert n.live_count() == 1 and m.live_count() == 1
 
 
 def test_merge_ignores_keys_outside_the_edge():
-    n = buffer(1, entries={0: TimedValue(1, 1), 1: TimedValue(2, 2)})
-    m = table(2, capacity=8)
+    n = node(1, entries={0: TimedValue(1, 1), 1: TimedValue(2, 2)})
+    m = node(2, capacity=8)
     insert_node(n, m, frozenset({1}))
     assert set(merge_contents(n, m)) == {1}
     assert n.contents() == {0: TimedValue(1, 1)}
@@ -222,11 +209,8 @@ def test_merge_matches_dict_oracle_on_random_pairs():
         src, dst, es, cap = random_merge_case(rng, keyspace)
         if not es:
             continue
-        if seed % 2:
-            n = buffer(1, capacity=None, entries=src)
-        else:
-            n = table(1, capacity=None, entries=src)  # table -> table
-        m = table(2, capacity=cap, entries=dst)
+        n = node(1, capacity=None, entries=src)
+        m = node(2, capacity=cap, entries=dst)
         insert_node(n, m, es)
         before = n._records
         moved = merge_contents(n, m)
@@ -259,8 +243,8 @@ def test_merge_matches_dict_oracle_on_random_pairs():
 
 
 def test_merge_preserves_tombstone_records():
-    n = buffer(1, entries={0: TimedValue(TOMBSTONE, 9)})
-    m = table(2, capacity=4, entries={0: TimedValue(7, 1)})
+    n = node(1, entries={0: TimedValue(TOMBSTONE, 9)})
+    m = node(2, capacity=4, entries={0: TimedValue(7, 1)})
     insert_node(n, m, frozenset({0}))
     assert set(merge_contents(n, m)) == {0}
     assert m.in_contents(0) == TimedValue(TOMBSTONE, 9)
