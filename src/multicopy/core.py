@@ -10,7 +10,9 @@ tombstone, timestamps are positive ints handed out by a per-structure clock
 
 Routing lives here too, because the live structures and the snapshot walk in
 graph.py share it: a node's outgoing edgesets are disjoint, so a key leaves a
-node along at most one edge (route).
+node along at most one edge (route). A live structure may tell route its
+keyspace size, so that a hop along an edge owning the whole keyspace costs
+no membership probe.
 """
 
 from __future__ import annotations
@@ -137,12 +139,23 @@ def check_key(key: Key, keyspace_size: int) -> None:
         )
 
 
-def route(edgesets: Mapping[NodeId, frozenset[Key]], key: Key, src: NodeId) -> Optional[NodeId]:
+def route(
+    edgesets: Mapping[NodeId, frozenset[Key]],
+    key: Key,
+    src: NodeId,
+    keyspace_size: Optional[int] = None,
+) -> Optional[NodeId]:
     """The successor of node src whose edgeset covers key, None if no edge
-    does. Outgoing edgesets must be disjoint; two claimants is corruption."""
+    does. Outgoing edgesets must be disjoint; two claimants is corruption.
+
+    With keyspace_size, an edgeset of exactly that many keys is taken to own
+    every key without a membership probe. That holds only when every edgeset
+    key and key itself lie in [0, keyspace_size), as in a live structure;
+    the snapshot walk in graph.py passes no size and probes every key.
+    """
     found = None
     for m, ks in edgesets.items():
-        if key in ks:
+        if len(ks) == keyspace_size or key in ks:
             if found is not None:
                 raise EdgesetDisjointnessError(
                     f"key {key} claimed by edges {src}->{found} and {src}->{m}"

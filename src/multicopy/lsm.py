@@ -37,7 +37,15 @@ does so before its workers start. Other callers never pay for it.
 A structure is built over a well-formed node graph, whose shape the
 constructor checks once, and the upsert history that filled it; they fix the
 rest: the clock continues after the newest timestamp, and each node's
-succ_reach starts as the copies its successors hold.
+succ_reach starts as the copies its successors hold. The constructor also
+rejects a node that holds or routes a key outside the keyspace, or holds a
+copy the history lacks.
+
+Inside the keyspace, an edgeset of keyspace_size keys owns every key. Search
+hops (route) and merge steps (merge_contents) are told the keyspace size, so
+on such an edge they probe no key: a hop costs no membership test and a
+merge no walk of the edgeset. Every edge of a list store, and the df table's
+edge, owns the whole keyspace.
 
 LsmStructure specializes the template to the log-structured shape: a small
 root and a chain of exponentially growing tables that appears as compaction
@@ -48,7 +56,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from itertools import repeat
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .core import (
     Key,
@@ -206,13 +215,14 @@ class MulticopyStructure:
         if issues:
             fields = " ".join(f"{k}={v}" for k, v in issues[0].items())
             raise StructuralError(f"malformed node graph: {fields}")
+        self.history = history if history is not None else UpsertHistory(keyspace_size)
+        _check_given_keys(self._handles.values(), keyspace_size, self.history)
         self._root = root
         self._lock_order: Optional[LockOrderLog] = None
         self._locks: dict[NodeId, threading.Lock | OrderCheckedLock] = {
             i: threading.Lock() for i in self._handles
         }
         self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(given)
-        self.history = history if history is not None else UpsertHistory(keyspace_size)
         self._clock = self.history.max_published_ts() + 1
         self._all_keys: Optional[frozenset[Key]] = None
         # Runs (lock-free) after a failed root append.
@@ -252,7 +262,7 @@ class MulticopyStructure:
         implicit (tombstone, 0) if the walk falls off the structure."""
         check_key(key, self.keyspace_size)
         snap = self.history.snapshot()
-        locks, handles = self._locks, self._handles
+        locks, handles, size = self._locks, self._handles, self.keyspace_size
         nid = self._root
         while True:
             lock = locks[nid]
@@ -260,7 +270,7 @@ class MulticopyStructure:
             try:
                 h = handles[nid]
                 tv = h.in_contents(key)
-                nxt = None if tv is not None else route(h.succ_edgesets, key, nid)
+                nxt = None if tv is not None else route(h.succ_edgesets, key, nid, size)
             finally:
                 lock.release()
             if tv is not None:
@@ -354,7 +364,8 @@ class MulticopyStructure:
                 m_lock.acquire()
                 child = m_lock
                 n, m = self._handles[nid], self._handles[m_id]
-                self._succ_reach[nid].update(merge_contents(n, m))
+                moved = merge_contents(n, m, keyspace_size=self.keyspace_size)
+                self._succ_reach[nid].update(moved)
         finally:
             # Parent before child, on every exit path.
             lock.release()
@@ -387,6 +398,50 @@ class MulticopyStructure:
         harness pauses its workers before calling this.
         """
         return graph_of(self.keyspace_size, self._root, self._handles.values(), self._succ_reach)
+
+
+def _check_given_keys(
+    handles: Iterable[NodeHandle], keyspace_size: int, history: UpsertHistory
+) -> None:
+    """Reject a given node that holds or routes a key outside the keyspace,
+    or holds a copy the history does not.
+
+    Routing and merges take an edgeset of keyspace_size keys to own every
+    key, which is sound only if every key a node holds and every edgeset
+    key is an int in [0, keyspace_size). A copy missing from the history
+    would get its timestamp handed out again by the clock.
+    """
+    for h in handles:
+        bad = _stray_key(h._records, keyspace_size)
+        if bad is not None:
+            raise StructuralError(
+                f"node {h.id} holds key {bad!r} outside keyspace [0, {keyspace_size})"
+            )
+        for m, ks in h.succ_edgesets.items():
+            bad = _stray_key(ks, keyspace_size)
+            if bad is not None:
+                raise StructuralError(
+                    f"edge {h.id}->{m} owns key {bad!r} outside keyspace [0, {keyspace_size})"
+                )
+        for k, tv in h._records.items():
+            if not history.contains(k, tv.value, tv.ts):
+                raise MulticopyError(
+                    f"node {h.id} holds key {k} copy {tv!r}, which the history does not"
+                )
+
+
+def _stray_key(keys: Collection[Key], keyspace_size: int) -> Optional[object]:
+    """A member of keys that is not an int in [0, keyspace_size), None if
+    there is none. Type, min and max are checked by C-level passes, so a
+    whole-keyspace edgeset costs no Python loop."""
+    if not keys:
+        return None
+    if not all(map(isinstance, keys, repeat(int))):
+        return next(k for k in keys if not isinstance(k, int))
+    lo, hi = min(keys), max(keys)
+    if lo < 0:
+        return lo
+    return hi if hi >= keyspace_size else None
 
 
 def graph_of(

@@ -14,11 +14,15 @@ move those records. The source side forgets exactly the moved keys and the
 target adopts the source's copies, so the newest copy of every key among the
 two nodes is preserved. The common case is a whole-source move: the edge
 owns every source key and the target has room for all of them, so the rule
-picks every record. That case costs one edgeset probe per source key plus a
-C-level dict update, with no sort and no per-record Python step. Any other
-merge sorts the source keys the edge owns and moves them one at a time, so
-it is linear in the source (plus the sort), never in the edgeset or the
-target.
+picks every record. That case costs a C-level dict update, with no sort and
+no per-record Python step. Any other merge sorts the source keys the edge
+owns and moves them one at a time, so it is linear in the source (plus the
+sort), never in the edgeset or the target.
+
+Finding the keys the edge owns costs one edgeset probe per source key, except
+on an edge that owns the whole keyspace: told the keyspace size, a merge
+recognises such an edge by its length and probes nothing. Every edge of a
+list store and the df table's edge are of that kind.
 """
 
 from __future__ import annotations
@@ -141,19 +145,27 @@ def insert_node(n: NodeHandle, m: NodeHandle, keys: frozenset[Key]) -> None:
     n.succ_edgesets[m.id] = frozenset(keys)
 
 
-def merge_contents(n: NodeHandle, m: NodeHandle) -> NodeContents:
+def merge_contents(
+    n: NodeHandle, m: NodeHandle, *, keyspace_size: Optional[int] = None
+) -> NodeContents:
     """Move records down the edge n->m; returns the moved copies by key.
 
     Candidates are n's live keys owned by the edge, taken in key order while
     m has room (overwrites are free; a key that does not fit is skipped and
     the scan goes on). The caller holds both nodes' locks.
+
+    With keyspace_size, an edgeset of exactly that many keys is taken to own
+    every source key without probing it. That holds only when every key n
+    holds and every edgeset key lie in [0, keyspace_size), which a live
+    structure guarantees.
     """
     es = n.succ_edgesets.get(m.id)
     if es is None:
         raise MulticopyError(f"no edge {n.id}->{m.id} to merge along")
     src, dst = n._records, m._records
     room = None if m.capacity is None else m.capacity - len(dst)
-    if (room is None or room >= len(src)) and es.issuperset(src):
+    whole_edge = len(es) == keyspace_size
+    if (room is None or room >= len(src)) and (whole_edge or es.issuperset(src)):
         # The edge owns every source key and each one fits, so the rule
         # picks them all: hand the source dict over and move it in C.
         n._records = {}
@@ -163,7 +175,8 @@ def merge_contents(n: NodeHandle, m: NodeHandle) -> NodeContents:
     # es.intersection(src) walks src. The reverse, src.keys() & es, walks
     # the whole frozenset (CPython only swaps the operands for a plain
     # set), which is the full keyspace on a fresh sink's edge.
-    for k in sorted(es.intersection(src)):
+    owned = src if whole_edge else es.intersection(src)
+    for k in sorted(owned):
         if room is not None and k not in dst:
             if room == 0:
                 continue

@@ -1,4 +1,5 @@
-"""Shared test helpers: random structure snapshots and independent oracles.
+"""Shared test helpers: random structure snapshots, independent oracles and
+an edgeset that refuses to be probed.
 
 The oracles here deliberately avoid the library's own algorithms: flows are
 solved by naive iteration until nothing changes (instead of one topological
@@ -13,6 +14,16 @@ from collections import Counter
 
 from multicopy.core import TOMBSTONE, TimedValue
 from multicopy.graph import MulticopyGraph, derive_succ_reach
+
+
+class UnprobedEdgeset(frozenset):
+    """An edgeset that fails the test if anything walks or probes it; only
+    its length may be read."""
+
+    def _probed(self, *args):
+        raise AssertionError("edgeset was probed")
+
+    issuperset = intersection = __contains__ = _probed
 
 
 def random_dag(

@@ -115,9 +115,9 @@ def test_compaction_outcomes_match_the_pinned_digests(monkeypatch):
     for mod in (lsm, df):
         real = mod.merge_contents
 
-        def counted(n, m, real=real):
+        def counted(n, m, real=real, **kwargs):
             before = n.live_count()
-            moved = real(n, m)
+            moved = real(n, m, **kwargs)
             kinds["whole" if moved and len(moved) == before else "partial"] += 1
             return moved
 

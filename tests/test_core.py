@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from support import UnprobedEdgeset
 
 from multicopy.core import (
     INITIAL,
@@ -79,3 +80,19 @@ def test_route_and_disjointness():
     edgesets[12] = frozenset({1})
     with pytest.raises(EdgesetDisjointnessError, match=r"key 1 claimed by edges 1->10 and 1->12"):
         route(edgesets, 1, 1)
+
+
+def test_route_with_the_keyspace_size_probes_no_whole_keyspace_edge():
+    whole = UnprobedEdgeset(range(4))
+    assert route({10: whole}, 3, 1, keyspace_size=4) == 10
+    # Any other edge is probed as before.
+    partial = {10: frozenset({0, 1})}
+    assert route(partial, 0, 1, keyspace_size=4) == 10
+    assert route(partial, 2, 1, keyspace_size=4) is None
+    with pytest.raises(AssertionError, match="edgeset was probed"):
+        route({10: UnprobedEdgeset({0, 1})}, 0, 1, keyspace_size=4)
+    # A second claimant is still caught, whether or not it was probed.
+    with pytest.raises(EdgesetDisjointnessError, match=r"key 1 claimed by edges 1->10 and 1->12"):
+        route({10: frozenset(range(4)), 12: frozenset({1})}, 1, 1, keyspace_size=4)
+    with pytest.raises(EdgesetDisjointnessError, match=r"key 1 claimed by edges 1->12 and 1->10"):
+        route({12: frozenset({1}), 10: frozenset(range(4))}, 1, 1, keyspace_size=4)

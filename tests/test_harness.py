@@ -440,9 +440,9 @@ def test_the_template_writes_only_to_its_root_and_never_merges_into_it(
         written.add(self.id)
         return add_contents(self, key, value, ts)
 
-    def recorded_merge(n, m):
+    def recorded_merge(n, m, **kwargs):
         merged_into.add(m.id)
-        return merge_contents(n, m)
+        return merge_contents(n, m, **kwargs)
 
     monkeypatch.setattr(NodeHandle, "add_contents", recorded_add)
     monkeypatch.setattr(lsm, "merge_contents", recorded_merge)

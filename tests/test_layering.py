@@ -68,3 +68,16 @@ def test_template_imports_nothing_that_drives_or_checks_it():
     for module in TEMPLATE:
         imported = package_imports((PACKAGE / f"{module}.py").read_text())
         assert not imported & TEMPLATE_USERS, (module, sorted(imported & TEMPLATE_USERS))
+
+
+def test_the_snapshot_walk_never_tells_route_the_keyspace_size():
+    # Told the size, route takes a whole-keyspace edge to own every key
+    # unprobed. The checker's walk must probe every key on its own.
+    calls = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "graph.py").read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "route"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) <= 3 and not call.keywords, ast.unparse(call)

@@ -284,6 +284,51 @@ def test_constructor_validation():
         LsmStructure(4, a.id, [a, b, c])
 
 
+def test_constructor_rejects_keys_outside_the_keyspace():
+    # Merges and search hops take an edge of keyspace_size keys to own every
+    # key, which holds only if no given key leaves the keyspace.
+    a, b = NodeHandle(920, 4, {99: TimedValue(1, 1)}), NodeHandle(921, 4)
+    a.succ_edgesets = {b.id: frozenset(range(4))}
+    with pytest.raises(StructuralError, match=r"node 920 holds key 99 outside keyspace \[0, 4\)"):
+        LsmStructure(4, a.id, [a, b])
+    a = NodeHandle(920, 4, {-1: TimedValue(1, 1)})
+    with pytest.raises(StructuralError, match="node 920 holds key -1 outside"):
+        LsmStructure(4, a.id, [a, b])
+    a = NodeHandle(920, 4)
+    a.succ_edgesets = {b.id: frozenset({0, 1, 77})}
+    with pytest.raises(StructuralError, match=r"edge 920->921 owns key 77 outside keyspace \[0, 4\)"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset({-3, 1})}
+    with pytest.raises(StructuralError, match="edge 920->921 owns key -3 outside"):
+        LsmStructure(4, a.id, [a, b])
+    # Four keys but not the keyspace: routed unprobed, key 1 would go down.
+    a.succ_edgesets = {b.id: frozenset({0, 1.5, 2, 3})}
+    with pytest.raises(StructuralError, match="edge 920->921 owns key 1.5 outside"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset({0, "x"})}
+    with pytest.raises(StructuralError, match="edge 920->921 owns key 'x' outside"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset(range(4))}
+    assert LsmStructure(4, a.id, [a, b]).search(3) is TOMBSTONE
+
+
+def test_constructor_rejects_a_copy_the_history_does_not_hold():
+    a, b = NodeHandle(930, 4, {2: TimedValue(7, 5)}), NodeHandle(931, 4)
+    a.succ_edgesets = {b.id: frozenset(range(4))}
+    # Accepted, the clock would start at 1 and hand timestamp 5 out again.
+    with pytest.raises(MulticopyError, match=r"node 930 holds key 2 copy \(7@5\)"):
+        LsmStructure(4, a.id, [a, b], history=UpsertHistory(4))
+    h = UpsertHistory(4)
+    for ts in range(1, 6):
+        h.record_upsert(2, 7 if ts == 5 else 0, ts)
+    b = NodeHandle(931, 4, {2: TimedValue(6, 3)})  # ts 3 wrote value 0, not 6
+    with pytest.raises(MulticopyError, match=r"node 931 holds key 2 copy \(6@3\)"):
+        LsmStructure(4, a.id, [a, b], history=h)
+    b = NodeHandle(931, 4, {2: TimedValue(0, 3), 1: TimedValue(TOMBSTONE, 0)})
+    s = LsmStructure(4, a.id, [a, b], history=h)
+    assert s.clock == 6 and s.search(2) == 7
+
+
 def test_concurrent_hammering_stays_sound():
     s = LsmStructure.create(keyspace_size=24, root_capacity=4)
     log = s.check_lock_order()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from support import UnprobedEdgeset
 
 from multicopy.core import (
     EdgesetDisjointnessError,
@@ -198,10 +199,12 @@ def random_merge_case(rng, keyspace):
 def test_merge_matches_dict_oracle_on_random_pairs():
     # How often each branch of merge_contents ran: the whole-source move
     # (at and above the room boundary) and the per-record selection (room
-    # one short of the source, or an edge missing some source key).
+    # one short of the source, or an edge missing some source key). The
+    # hinted_ counts are the runs of a whole-keyspace edge that were also
+    # merged with the keyspace size given.
     runs = dict.fromkeys(
         ("whole", "whole_room_exact", "select", "select_room_short",
-         "select_edge_partial_unbounded"), 0
+         "select_edge_partial_unbounded", "hinted_whole", "hinted_select"), 0
     )
     for seed in range(400):
         rng = random.Random(seed)
@@ -239,6 +242,22 @@ def test_merge_matches_dict_oracle_on_random_pairs():
         assert set(n.contents()) | set(m.contents()) == set(src) | set(dst)
         for k in moved:
             assert m.in_contents(k) == src[k]
+        # The same merge told the keyspace size. A whole-keyspace edge is
+        # then taken to own every key and never probed; any other edge is
+        # probed as before. Either way the same records move, in the same
+        # order.
+        whole_keyspace = es == frozenset(range(keyspace))
+        hn = node(1, capacity=None, entries=src)
+        hm = node(2, capacity=cap, entries=dst)
+        hn.succ_edgesets[hm.id] = UnprobedEdgeset(es) if whole_keyspace else es
+        hinted_before = hn._records
+        hinted = merge_contents(hn, hm, keyspace_size=keyspace)
+        assert (hinted is hinted_before) == whole, f"seed {seed}"
+        assert list(hinted.items()) == list(moved.items()), f"seed {seed}"
+        assert hn.contents() == want_src, f"seed {seed}"
+        assert list(hm.contents().items()) == list(m.contents().items()), f"seed {seed}"
+        if whole_keyspace:
+            runs["hinted_whole" if whole else "hinted_select"] += 1
     assert all(count >= 10 for count in runs.values()), runs
 
 
