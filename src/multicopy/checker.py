@@ -195,13 +195,13 @@ def check_invariants(
             f"history keyspace {h.keyspace_size} is narrower than the "
             f"snapshot keyspace {g.keyspace_size}"
         )
-    newest = {k: (v, t) for k, v, t in h.entries()}
-    never = (INITIAL.value, INITIAL.ts)
+    newest = h.newest_copies()
     ws = []
     for k in newest.keys() | root_reach.keys():
         if 0 <= k < g.keyspace_size:
-            logical, reached = newest.get(k, never), root_reach.get(k, INITIAL)
-            if logical != (reached.value, reached.ts):
+            # A copy equals the plain (value, ts) tuple of its fields.
+            logical, reached = newest.get(k, INITIAL), root_reach.get(k, INITIAL)
+            if logical != reached:
                 ws.append(
                     {
                         "key": k,

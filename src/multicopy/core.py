@@ -6,7 +6,8 @@ are upserts of a distinguished tombstone, so "absent" and "deleted" look the
 same to a search. These types are deliberately tiny: keys are ints drawn from
 a bounded keyspace fixed at construction time, values are ints or the
 tombstone, timestamps are positive ints handed out by a per-structure clock
-(timestamp 0 is reserved for the implicit initial tombstone of every key).
+(timestamp 0 is reserved for the implicit initial tombstone of every key),
+and a copy is a (value, ts) tuple, the one object an upsert allocates.
 
 Routing lives here too, because the live structures and the snapshot walk in
 graph.py share it: a node's outgoing edgesets are disjoint, so a key leaves a
@@ -17,8 +18,7 @@ no membership probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 
 class MulticopyError(Exception):
@@ -50,6 +50,11 @@ class _Tombstone:
     def __repr__(self) -> str:
         return "<tombstone>"
 
+    def __hash__(self) -> int:
+        # A constant, not the default id-based hash, so that a copy holding
+        # the tombstone hashes alike in every process.
+        return 0x70B5
+
 
 TOMBSTONE = _Tombstone()
 
@@ -59,29 +64,33 @@ Timestamp = int
 Value = Union[int, _Tombstone]
 
 
-@dataclass(frozen=True, slots=True)
-class TimedValue:
+class TimedValue(NamedTuple):
     """A value copy tagged with the logical time of the upsert that wrote it.
 
-    Copies are ordered by timestamp alone; the value carries no order. Code
-    that needs "the newer copy" must compare .ts explicitly, which is why this
-    class defines no comparison operators.
+    A copy is an immutable (value, ts) tuple: value and ts are read by C-level
+    field getters, and the root append mints a copy with one C call,
+    tuple.__new__(TimedValue, (value, ts)). Equality and hashing are the
+    tuple's own, field by field, so a copy equals and hashes as the plain
+    tuple (value, ts). No hash depends on a memory address (the tombstone
+    hashes to a constant), so a set of copies iterates in the same order in
+    every process.
 
-    A copy hashes by its timestamp alone. Equal copies have equal timestamps,
-    so this agrees with equality, and in a structure each timestamp names one
-    upsert, so distinct copies rarely collide. The checker hashes thousands
-    of (key, copy) flow elements per snapshot; the generated hash would build
-    and hash a (value, ts) tuple for each of them.
+    Copies are ordered by timestamp alone; the value carries no order. Code
+    that needs "the newer copy" must compare .ts explicitly, which is why the
+    tuple's ordering is switched off: <, <=, > and >= between copies raise
+    TypeError.
     """
 
     value: Value
     ts: Timestamp
 
-    def __hash__(self) -> int:
-        return self.ts
-
     def __repr__(self) -> str:
         return f"({self.value!r}@{self.ts})"
+
+    def __lt__(self, other: object) -> bool:
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
 
 # The initial state of every key: deleted at time zero.
@@ -130,7 +139,12 @@ def check_keyspace(keyspace_size: object) -> None:
 
 
 def check_key(key: Key, keyspace_size: int) -> None:
-    """Reject keys outside the keyspace the structure was built for."""
+    """Reject keys outside the keyspace the structure was built for.
+
+    The op path (search_timed, upsert_timed, record_upsert) first tests
+    `type(key) is int and 0 <= key < size` inline and calls this only when
+    that fails, so this stays the one definition of the rule and of its
+    messages."""
     if not isinstance(key, int) or isinstance(key, bool):
         raise MulticopyError(f"key must be an int, got {key!r}")
     if not 0 <= key < keyspace_size:

@@ -87,7 +87,8 @@ class UpsertHistory:
                 f"upsert timestamp {ts} follows {i}; "
                 "timestamps must run 1, 2, 3, ... without gaps"
             )
-        check_key(key, self.keyspace_size)
+        if not (type(key) is int and 0 <= key < self.keyspace_size):
+            check_key(key, self.keyspace_size)
         # The entry is whole, and the chain reaches it, before the published
         # length covers it.
         self._keys.append(key)
@@ -120,6 +121,25 @@ class UpsertHistory:
         while i >= n:
             i = prev[i]
         return i
+
+    def newest_copies(self) -> dict[Key, tuple[Value, Timestamp]]:
+        """Each recorded key's newest (value, ts), keys in the order of their
+        first entry.
+
+        Read off the per-key chains, so it costs the keys recorded, not a walk
+        of the whole log. It walks the chains itself rather than call _newest
+        per key: that call and its key check cost more than the whole-log
+        walk on a history of a few thousand entries."""
+        n, values, ts, prev = self._published, self._values, self._ts, self._prev
+        out: dict[Key, tuple[Value, Timestamp]] = {}
+        # One published length bounds every key, and the chain heads are
+        # copied first, so a concurrent append changes nothing here.
+        for k, i in tuple(self._last.items()):
+            while i >= n:
+                i = prev[i]
+            if i >= 0:
+                out[k] = (values[i], ts[i])
+        return out
 
     def contains(self, key: Key, value: Value, ts: Timestamp) -> bool:
         """Is (key, (value, ts)) in the history, counting implicit entries?"""

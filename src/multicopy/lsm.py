@@ -260,9 +260,12 @@ class MulticopyStructure:
     def search_timed(self, key: Key) -> SearchProbe:
         """Traverse from the root; returns the first copy found, or the
         implicit (tombstone, 0) if the walk falls off the structure."""
-        check_key(key, self.keyspace_size)
+        size = self.keyspace_size
+        # check_key costs a call; a search pays it only for a key it rejects.
+        if not (type(key) is int and 0 <= key < size):
+            check_key(key, size)
         snap = self.history.snapshot()
-        locks, handles, size = self._locks, self._handles, self.keyspace_size
+        locks, handles = self._locks, self._handles
         nid = self._root
         while True:
             lock = locks[nid]
@@ -288,7 +291,8 @@ class MulticopyStructure:
         Retries for as long as the root is full of other keys; each failed
         round runs the root-full hook, which must make room or wait for it.
         """
-        check_key(key, self.keyspace_size)
+        if not (type(key) is int and 0 <= key < self.keyspace_size):
+            check_key(key, self.keyspace_size)
         while True:
             lock = self._locks[self._root]
             lock.acquire()

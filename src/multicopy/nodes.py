@@ -7,6 +7,10 @@ root, writes only there (add_contents) and changes every other node through
 merges. Nothing keeps a node sorted in place. Capacity bounds live records,
 so an overwrite never fails even at a full root.
 
+The root append is one dict store of a copy minted in C: a TimedValue is a
+tuple, made by tuple.__new__ with no Python code of its own, and it is the
+one object an append leaves for the garbage collector to track.
+
 The move between nodes is merge_contents: pick the source's live keys that
 the connecting edge owns, in key order, as long as the target keeps fitting
 (a key the target already holds is an overwrite and costs no room), then
@@ -88,11 +92,14 @@ class NodeHandle:
     # --- writes ------------------------------------------------------------
 
     def add_contents(self, key: Key, value: Value, ts: Timestamp) -> bool:
-        """Write a fresh copy; False when a full node would need a new record."""
+        """Write a fresh copy; False when a full node would need a new record.
+
+        tuple.__new__ is the C constructor under TimedValue(value, ts);
+        calling it directly skips the Python-level __new__ in between."""
         recs = self._records
         if key not in recs and self.capacity is not None and len(recs) >= self.capacity:
             return False
-        recs[key] = TimedValue(value, ts)
+        recs[key] = tuple.__new__(TimedValue, (value, ts))
         return True
 
     # --- compaction policy ---------------------------------------------------

@@ -73,6 +73,22 @@ def test_inv1_detects_a_lost_newest_copy():
     assert [e.check_id for e in report.failures()] == ["inv1_logical_matches_reach"]
 
 
+def test_a_passing_check_never_walks_the_history_log(monkeypatch):
+    # Inv1 reads each key's newest copy off the per-key chains, so checking
+    # costs what the history holds per key, not the length of the run.
+    s = LsmStructure.create(keyspace_size=16, root_capacity=4)
+    rng = random.Random(3)
+    for _ in range(400):
+        s.upsert(rng.randrange(16), rng.randrange(100))
+    g, h = s.snapshot_graph(), s.history
+
+    def walked(*args):
+        raise AssertionError("the history log was walked")
+
+    monkeypatch.setattr(h, "entries", walked)
+    assert check_invariants(g, h, s.clock).ok
+
+
 def test_history_narrower_than_the_snapshot_is_rejected_by_name():
     g, _, clock = base_state()
     g.keyspace_size = 8

@@ -107,6 +107,19 @@ def test_max_ts_matches_linear_scan(ops, data):
     assert h.max_ts(key) == scan_max_ts(log, key, len(log))
 
 
+def test_newest_copies_match_a_walk_of_the_log_on_random_histories():
+    rng = random.Random(11)
+    for _ in range(300):
+        keyspace = rng.randint(1, 12)
+        h = UpsertHistory(keyspace)
+        for ts in range(1, rng.randint(0, 60) + 1):
+            v = TOMBSTONE if rng.random() < 0.2 else rng.randrange(50)
+            h.record_upsert(rng.randrange(keyspace), v, ts)
+        walked = {k: (v, t) for k, v, t in h.entries()}
+        # Same map, keys in the order of their first entry.
+        assert list(h.newest_copies().items()) == list(walked.items())
+
+
 @given(
     ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9)), max_size=30),
     key=st.integers(0, 3),

@@ -1,7 +1,9 @@
+import gc
 import random
 import sys
 import threading
 import time
+from enum import IntEnum
 
 import pytest
 
@@ -12,6 +14,7 @@ from multicopy.core import (
     StructuralError,
     TOMBSTONE,
     TimedValue,
+    check_key,
     is_tombstone,
 )
 from multicopy.df import DfStructure
@@ -370,3 +373,78 @@ def test_tombstones_survive_flushing():
     assert is_tombstone(s.search(0))
     disk = next(i for i in s.node_ids() if i != s.root_id)
     assert is_tombstone(s.handle(disk).in_contents(0).value)
+
+
+class _Key(IntEnum):
+    THREE = 3
+
+
+# Keys an inline key test could judge differently from check_key: a bool,
+# both ends just outside the keyspace, a float, a string, and an int
+# subclass inside it, which check_key accepts.
+ODD_KEYS = [True, -1, 4, 1.5, "3", _Key.THREE]
+
+
+def _outcome(call):
+    """(exception type, message) of call, or None if it returned."""
+    try:
+        call()
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("key", ODD_KEYS, ids=repr)
+def test_the_guarded_op_path_accepts_exactly_what_check_key_accepts(key):
+    want = _outcome(lambda: check_key(key, 4))
+    assert (want is None) == (key is _Key.THREE)
+
+    def recorded():
+        h = UpsertHistory(4)
+        h.record_upsert(key, 5, 1)
+        assert h.max_ts(3) == TimedValue(5, 1)
+
+    def upserted():
+        s = LsmStructure.create(4, 2)
+        try:
+            s.upsert_timed(key, 5)
+        finally:
+            # A rejected key reaches neither the root nor the history.
+            assert s.handle(s.root_id).contents() == ({} if want else {3: TimedValue(5, 1)})
+            assert len(s.history) == (0 if want else 1)
+
+    sites = {
+        "search_timed": lambda: LsmStructure.create(4, 2).search_timed(key),
+        "upsert_timed": upserted,
+        "record_upsert": recorded,
+        "max_ts": lambda: UpsertHistory(4).max_ts(key),
+        "check_search_recency": lambda: UpsertHistory(4).check_search_recency(
+            key, TOMBSTONE, 0, 0
+        ),
+    }
+    assert {name: _outcome(call) for name, call in sites.items()} == dict.fromkeys(sites, want)
+
+
+def _gc_tracked_delta(ops):
+    """GC-tracked objects that ops leaves behind. With collection off every
+    new container stays in generation 0, so this counts them all."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects(0))
+        ops()
+        return len(gc.get_objects(0)) - before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("structure", [LsmStructure, DfStructure])
+def test_the_op_path_retains_one_gc_tracked_object_per_root_append_and_none_per_search(structure):
+    # Every GC-tracked object the op path keeps alive is a chance for a
+    # collection to land on an upsert; a root append keeps its copy alone.
+    n = 2000
+    s = structure.create(keyspace_size=n, root_capacity=n)
+    # The root's records dict is tracked from its first copy on.
+    s.upsert(0, 1000)
+    assert _gc_tracked_delta(lambda: [s.upsert(k, k + 1000) for k in range(1, n)]) == n - 1
+    assert _gc_tracked_delta(lambda: [s.search(k) for k in range(n)]) == 0
