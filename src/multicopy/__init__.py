@@ -2,7 +2,7 @@
 
 Structures that keep multiple timestamped copies of a key (log-structured
 stores, differential files) and return the first copy a traversal finds.
-This package provides the two classic shapes over pluggable node backends,
+This package provides the two classic shapes over one shared template,
 plus the machinery to argue they are correct at desk scale: an instrumented
 upsert history, snapshot invariant checking built on flows over the node
 graph, and a linearizability checker for concurrent traces.
@@ -39,9 +39,9 @@ from .graph import (
     reach_maps,
     save_graph,
 )
-from .harness import WorkloadConfig, check_files, run_stress
+from .harness import LockOrderLog, WorkloadConfig, check_files, check_lock_order, run_stress
 from .history import Trace, UpsertHistory
-from .lsm import LockOrderLog, LsmStructure, MulticopyStructure, SearchProbe
+from .lsm import LsmStructure, MulticopyStructure, SearchProbe
 from .nodes import NodeHandle, alloc_node, insert_node, merge_contents
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "check_files",
     "check_inv2_monotone",
     "check_invariants",
+    "check_lock_order",
     "compute_flow",
     "contents_in_reach",
     "derive_succ_reach",

@@ -33,6 +33,7 @@ from .graph import (
     flow_residuals,
     inset_map,
     local_reach,
+    predecessors,
     reach_maps,
     structural_issues,
 )
@@ -258,9 +259,7 @@ def check_invariants(
 
     # Inv8: when two edges into the same node own the same key, at most one
     # of the two sources can actually be reached with that key.
-    preds: dict[int, list[int]] = {n: [] for n in g.nodes}
-    for n, m, _ in g.edges():
-        preds[m].append(n)
+    preds = predecessors(g)
     ws = []
     for m in nodes:
         ps = sorted(preds[m])

@@ -118,6 +118,14 @@ def structural_issues(g: MulticopyGraph) -> list[dict]:
     return issues
 
 
+def predecessors(g: MulticopyGraph) -> dict[NodeId, list[NodeId]]:
+    """The sources of each node's incoming edges, in edge order."""
+    preds: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
+    for n, m, _ in g.edges():
+        preds[m].append(n)
+    return preds
+
+
 def topological_order(g: MulticopyGraph) -> list[NodeId]:
     """Nodes ordered so every edge goes left to right. Raises on cycles."""
     ts: TopologicalSorter = TopologicalSorter()
@@ -221,9 +229,7 @@ def compute_flow(g: MulticopyGraph, kind: FlowKind) -> FlowAssignment:
     if kind not in ("cir", "inset"):
         raise ValueError(f"unknown flow kind {kind!r}")
     order = topological_order(g)
-    preds: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
-    for n, m, _ in g.edges():
-        preds[m].append(n)
+    preds = predecessors(g)
     fl: FlowAssignment = {}
     for n in order:
         acc = _inflow(g, n, kind)
@@ -239,9 +245,7 @@ def flow_residuals(g: MulticopyGraph, kind: FlowKind, fl: FlowAssignment) -> dic
     A correct fixpoint has an empty residual everywhere; anything else names
     the node and the offending elements with signed counts.
     """
-    preds: dict[NodeId, list[NodeId]] = {n: [] for n in g.nodes}
-    for n, m, _ in g.edges():
-        preds[m].append(n)
+    preds = predecessors(g)
     residuals: dict[NodeId, Counter] = {}
     for n in g.nodes:
         expect = _inflow(g, n, kind)
@@ -342,7 +346,9 @@ def graph_to_json(g: MulticopyGraph) -> dict:
 
 def graph_from_json(obj: dict) -> MulticopyGraph:
     """Rebuild a snapshot; a malformed one raises MulticopyError. Every key
-    it names, in contents, edgesets and succ_reach, must lie in its keyspace."""
+    it names, in contents, edgesets and succ_reach, must lie in its keyspace,
+    contents and succ_reach may name only listed nodes, and no edge may be
+    listed twice."""
     if not isinstance(obj, dict):
         raise MulticopyError("malformed snapshot: expected a JSON object")
     try:
@@ -353,14 +359,20 @@ def graph_from_json(obj: dict) -> MulticopyGraph:
             root=_node_id(obj["root"]),
             nodes={_node_id(n) for n in obj["nodes"]},
         )
-        for n_s, c in obj.get("contents", {}).items():
-            g.contents[int(n_s)] = _decode_records(c, size)
         for n, m, keys in obj.get("edgesets", []):
             for k in keys:
                 check_key(k, size)
-            g.edgesets.setdefault(_node_id(n), {})[_node_id(m)] = frozenset(keys)
-        for n_s, sr in obj.get("succ_reach", {}).items():
-            g.succ_reach[int(n_s)] = _decode_records(sr, size)
+            m = _node_id(m)
+            outs = g.edgesets.setdefault(_node_id(n), {})
+            if m in outs:
+                raise MulticopyError(f"edge {n}->{m} is listed twice")
+            outs[m] = frozenset(keys)
+        for name, records in (("contents", g.contents), ("succ_reach", g.succ_reach)):
+            for n_s, raw in obj.get(name, {}).items():
+                n = int(n_s)
+                if n not in g.nodes:
+                    raise MulticopyError(f"{name} of node {n}, which nodes does not list")
+                records[n] = _decode_records(raw, size)
     except KeyError as e:
         raise MulticopyError(f"malformed snapshot: missing field {e.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError, MulticopyError) as e:

@@ -6,13 +6,14 @@ run_stress is the run's only background thread: it waits at the gate for its
 next job and does it. A job is a checkpoint, a maintenance pass a writer asked
 for because it found the root full (the writer stays parked until that pass
 ends), or, in periodic mode, a pass because the interval ended. In a checked
-run (the default) the structure's node locks log every break of the lock-order
-rule, and every search is checked online against the history the moment it
-returns. Checkpoints are requested at their marks: the worker whose op
-completes every checkpoint_every * threads ops asks for a pause, every worker
-parks at the gate (between operations, or while waiting holding no node lock),
-and the calling thread snapshots the structure, runs the full invariant suite
-plus cross-snapshot monotonicity, and resumes. At the end the recorded trace
+run (the default) check_lock_order swaps the structure's node locks for ones
+that log every break of the lock-order rule to a LockOrderLog, and every search
+is checked online against the history the moment it returns. Checkpoints are
+requested at their marks: the worker whose op completes every
+checkpoint_every * threads ops asks for a pause, every worker parks at the
+gate (between operations, or while waiting holding no node lock), and the
+calling thread snapshots the structure, runs the full invariant suite plus
+cross-snapshot monotonicity, and resumes. At the end the recorded trace
 must linearize and the history predicates must hold. The report carries the
 trace and the final snapshot; writing them to files is left to the caller. An
 unchecked run does none of this; it only runs the ops, on plain node locks,
@@ -31,7 +32,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .checker import (
     CheckResult,
@@ -51,7 +52,8 @@ from .history import (
     Trace,
     UpsertEvent,
 )
-from .lsm import LsmStructure
+from .lsm import LsmStructure, MulticopyStructure
+from .nodes import NodeHandle, NodeId
 
 __all__ = [
     "WorkloadConfig",
@@ -59,6 +61,8 @@ __all__ = [
     "CheckpointRecord",
     "run_stress",
     "check_files",
+    "check_lock_order",
+    "LockOrderLog",
 ]
 
 
@@ -276,6 +280,109 @@ class PauseGate:
             self._cond.notify_all()
 
 
+class _HeldList(list):
+    """Node ids in acquisition order, and the lock taken last if it was
+    taken as a second lock (None otherwise)."""
+
+    __slots__ = ("second",)
+
+    def __init__(self):
+        super().__init__()
+        self.second: Optional[NodeId] = None
+
+
+class _HeldLocks(threading.local):
+    """The node locks the current thread holds, in acquisition order."""
+
+    def __init__(self):
+        self.nodes = _HeldList()
+
+
+class LockOrderLog:
+    """The lock-order rule, checked as node locks are taken.
+
+    A thread holds at most two node locks, and the second is a successor of
+    the first: that is what compaction does (parent, then child), and it
+    keeps concurrent compactions deadlock-free on a DAG. A lock taken as
+    the second one is released without taking another: a merge step lets
+    go of parent and child, while a lock-coupling search would keep the
+    child and take the grandchild. Every acquisition that breaks the rule
+    is appended to violations; the lock is still taken, so the run goes on
+    and the report names them all.
+    """
+
+    def __init__(self, handles: Mapping[NodeId, NodeHandle]):
+        # The structure's own node table, so nodes grown later are known.
+        self._handles = handles
+        self._held = _HeldLocks()
+        self.violations: list[dict] = []
+        self._lock = threading.Lock()
+
+    def held(self) -> list[NodeId]:
+        """The node locks the current thread holds, in acquisition order."""
+        return self._held.nodes
+
+    def check(self, held: _HeldList, nid: NodeId) -> None:
+        """Log a violation if a thread already holding held (not empty)
+        may not take nid."""
+        if len(held) >= 2:
+            bad = "more than two locks"
+        elif held.second == held[0]:
+            bad = "lock coupling: the held lock was taken as a second lock"
+        elif nid not in self._handles[held[-1]].succ_edgesets:
+            bad = "second lock is not a successor of the first"
+        else:
+            return
+        with self._lock:
+            self.violations.append(
+                {
+                    "thread": threading.current_thread().name,
+                    "held": list(held),
+                    "acquiring": nid,
+                    "reason": bad,
+                }
+            )
+
+
+class OrderCheckedLock:
+    """A node lock that reports every acquisition to a LockOrderLog."""
+
+    __slots__ = ("_nid", "_log", "_held", "_lock")
+
+    def __init__(self, nid: NodeId, log: LockOrderLog):
+        self._nid = nid
+        self._log = log
+        self._held = log._held
+        self._lock = threading.Lock()
+
+    def acquire(self) -> None:
+        held = self._held.nodes
+        if held:
+            self._log.check(held, self._nid)
+            held.second = self._nid
+        else:
+            held.second = None
+        self._lock.acquire()
+        held.append(self._nid)
+
+    def release(self) -> None:
+        self._held.nodes.remove(self._nid)
+        self._lock.release()
+
+    def locked(self) -> bool:
+        return self._lock.locked()
+
+
+def check_lock_order(structure: MulticopyStructure) -> LockOrderLog:
+    """Check the lock-order rule on structure from now on and return the log
+    that collects its violations. Every node lock, and each one a grown node
+    gets later, becomes an OrderCheckedLock. Call it at quiescence, with no
+    node lock held."""
+    log = LockOrderLog(structure._handles)
+    structure.use_locks(lambda nid: OrderCheckedLock(nid, log))
+    return log
+
+
 @dataclass
 class CheckpointRecord:
     ops_done: int
@@ -407,7 +514,7 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
     structure = _build_structure(config)
     # Checked runs take order-checking node locks; unchecked ones keep the
     # plain locks, so their timings carry no instrument.
-    lock_order = structure.check_lock_order() if checked else None
+    lock_order = check_lock_order(structure) if checked else None
     gate = PauseGate(config.threads)
     mode, interval = _parse_maintenance(config.maintenance)
 
@@ -568,6 +675,16 @@ def check_files(snapshot_path: str, trace_path: str) -> tuple[bool, dict]:
     out: dict = {"snapshot": snapshot_path, "trace": trace_path}
     g = load_graph(snapshot_path)
     trace = Trace.load(trace_path)
+    # Inv1 compares only keys inside the snapshot's keyspace, so it would
+    # miss a write to any key past it. (check_invariants rejects a narrower
+    # trace by name.)
+    if trace.keyspace_size > g.keyspace_size:
+        out["ok"] = False
+        out["error"] = (
+            f"trace keyspace {trace.keyspace_size} is wider than the snapshot "
+            f"keyspace {g.keyspace_size}"
+        )
+        return False, out
     try:
         h, clock = trace.rebuild_history()
     except HistoryCorruptionError as e:

@@ -331,9 +331,11 @@ class Trace:
     def load(cls, path: str) -> "Trace":
         """Read a trace written by dump: a {"keyspace_size": N} header as the
         first non-blank line, then one event a line, each key inside the
-        header's keyspace. A malformed or missing line raises MulticopyError
-        naming the line."""
+        header's keyspace, each resp after its inv, and no sequence number
+        used twice. A malformed or missing line raises MulticopyError naming
+        the line."""
         events: list[TraceEvent] = []
+        seen: set[int] = set()
         keyspace_size = None
         with open(path) as f:
             for n, line in enumerate(f, 1):
@@ -356,6 +358,14 @@ class Trace:
                     else:
                         event = event_from_json(obj)
                         check_key(event.key, keyspace_size)
+                        if event.resp <= event.inv:
+                            raise MulticopyError(
+                                f"resp {event.resp} is not after inv {event.inv}"
+                            )
+                        for s in (event.inv, event.resp):
+                            if s in seen:
+                                raise MulticopyError(f"sequence number {s} is used twice")
+                            seen.add(s)
                         events.append(event)
                 except MulticopyError as e:
                     raise MulticopyError(f"malformed trace: {e} at line {n}") from None

@@ -1,7 +1,7 @@
 """Concurrent multicopy template over a DAG of nodes.
 
-The traversal and upsert logic here is shape-agnostic: any DAG of node
-backends with disjoint outgoing edgesets works. Locking is per node and
+The traversal and upsert logic here is shape-agnostic: any DAG of nodes
+with disjoint outgoing edgesets works. Locking is per node and
 deliberately skimpy:
 
   search takes one lock at a time, looks for a local copy, otherwise asks
@@ -29,10 +29,10 @@ deliberately skimpy:
 
 Node locks are plain threading.Lock objects, taken with explicit
 acquire/release, so a hop costs one lock round trip and no Python-level lock
-code. The order rule above (at most two locks, the second a successor of the
-first) is a stress-run instrument: check_lock_order() swaps every node lock,
-present and future, for one that reports to a LockOrderLog, and run_stress
-does so before its workers start. Other callers never pay for it.
+code. use_locks swaps every node lock, present and future, for another
+object with acquire() and release(); the stress harness checks the order rule
+above (at most two locks, the second a successor of the first) that way.
+Other callers never pay for it.
 
 A structure is built over a well-formed node graph, whose shape the
 constructor checks once, and the upsert history that filled it; they fix the
@@ -94,105 +94,11 @@ class SearchProbe:
     snap: int
 
 
-class _HeldList(list):
-    """Node ids in acquisition order, and the lock taken last if it was
-    taken as a second lock (None otherwise)."""
-
-    __slots__ = ("second",)
-
-    def __init__(self):
-        super().__init__()
-        self.second: Optional[NodeId] = None
-
-
-class _HeldLocks(threading.local):
-    """The node locks the current thread holds, in acquisition order."""
-
-    def __init__(self):
-        self.nodes = _HeldList()
-
-
-class LockOrderLog:
-    """The lock-order rule, checked as node locks are taken.
-
-    A thread holds at most two node locks, and the second is a successor of
-    the first: that is what compaction does (parent, then child), and it
-    keeps concurrent compactions deadlock-free on a DAG. A lock taken as
-    the second one is released without taking another: a merge step lets
-    go of parent and child, while a lock-coupling search would keep the
-    child and take the grandchild. Every acquisition that breaks the rule
-    is appended to violations; the lock is still taken, so the run goes on
-    and the report names them all.
-    """
-
-    def __init__(self, handles: Mapping[NodeId, NodeHandle]):
-        # The structure's own node table, so nodes grown later are known.
-        self._handles = handles
-        self._held = _HeldLocks()
-        self.violations: list[dict] = []
-        self._lock = threading.Lock()
-
-    def held(self) -> list[NodeId]:
-        """The node locks the current thread holds, in acquisition order."""
-        return self._held.nodes
-
-    def check(self, held: _HeldList, nid: NodeId) -> None:
-        """Log a violation if a thread already holding held (not empty)
-        may not take nid."""
-        if len(held) >= 2:
-            bad = "more than two locks"
-        elif held.second == held[0]:
-            bad = "lock coupling: the held lock was taken as a second lock"
-        elif nid not in self._handles[held[-1]].succ_edgesets:
-            bad = "second lock is not a successor of the first"
-        else:
-            return
-        with self._lock:
-            self.violations.append(
-                {
-                    "thread": threading.current_thread().name,
-                    "held": list(held),
-                    "acquiring": nid,
-                    "reason": bad,
-                }
-            )
-
-
-class OrderCheckedLock:
-    """A node lock that reports every acquisition to a LockOrderLog."""
-
-    __slots__ = ("_nid", "_log", "_held", "_lock")
-
-    def __init__(self, nid: NodeId, log: LockOrderLog):
-        self._nid = nid
-        self._log = log
-        self._held = log._held
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        held = self._held.nodes
-        if held:
-            self._log.check(held, self._nid)
-            held.second = self._nid
-        else:
-            held.second = None
-        self._lock.acquire()
-        held.append(self._nid)
-
-    def release(self) -> None:
-        self._held.nodes.remove(self._nid)
-        self._lock.release()
-
-    def locked(self) -> bool:
-        return self._lock.locked()
-
-
 class MulticopyStructure:
     """Shared engine: per-node locks, clock, history, ghost succ_reach.
 
-    _locks[nid] holds a plain threading.Lock, or an OrderCheckedLock once
-    check_lock_order() has run; the template takes either through acquire()
-    and release().
+    _locks[nid] holds a plain threading.Lock unless use_locks swapped in
+    another lock; the template takes it through acquire() and release().
     """
 
     def __init__(
@@ -218,26 +124,20 @@ class MulticopyStructure:
         self.history = history if history is not None else UpsertHistory(keyspace_size)
         _check_given_keys(self._handles.values(), keyspace_size, self.history)
         self._root = root
-        self._lock_order: Optional[LockOrderLog] = None
-        self._locks: dict[NodeId, threading.Lock | OrderCheckedLock] = {
-            i: threading.Lock() for i in self._handles
-        }
+        self._make_lock: Callable[[NodeId], threading.Lock] = lambda nid: threading.Lock()
+        self._locks: dict[NodeId, threading.Lock] = {i: threading.Lock() for i in self._handles}
         self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(given)
         self._clock = self.history.max_published_ts() + 1
         self._all_keys: Optional[frozenset[Key]] = None
         # Runs (lock-free) after a failed root append.
         self._on_root_full: Callable[[], None] = self.maintenance_pass
 
-    def check_lock_order(self) -> LockOrderLog:
-        """Check the lock-order rule from now on and return the log that
-        collects its violations. Every node lock, and each one a grown node
-        gets later, becomes an OrderCheckedLock. Call it at quiescence, with
-        no node lock held; calling it again returns the same log."""
-        if self._lock_order is None:
-            self._lock_order = LockOrderLog(self._handles)
-            for nid in list(self._locks):
-                self._locks[nid] = OrderCheckedLock(nid, self._lock_order)
-        return self._lock_order
+    def use_locks(self, make: Callable[[NodeId], threading.Lock]) -> None:
+        """Replace every node lock with make(nid), and give each node grown
+        later make(its id). Call it at quiescence, with no node lock held."""
+        self._make_lock = make
+        for nid in list(self._locks):
+            self._locks[nid] = make(nid)
 
     # --- public metadata ----------------------------------------------------
 
@@ -388,8 +288,7 @@ class MulticopyStructure:
     def _register(self, m: NodeHandle) -> None:
         # Plain dict stores: assignment is atomic and ids are never reused,
         # so concurrent readers either see the node fully or not at all.
-        log = self._lock_order
-        self._locks[m.id] = threading.Lock() if log is None else OrderCheckedLock(m.id, log)
+        self._locks[m.id] = self._make_lock(m.id)
         self._succ_reach[m.id] = {}
         self._handles[m.id] = m
 

@@ -144,6 +144,20 @@ def test_stress_unwritable_output_fails_before_any_op(tmp_path, capsys, monkeypa
             ' "succ_reach": {"0": {"999": [5, 1]}}}',
             "key 999 outside keyspace [0, 4)",
         ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0],'
+            ' "contents": {"999": {"3": [77, 100000]}}}',
+            "contents of node 999, which nodes does not list",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0], "succ_reach": {"7": {"1": [5, 1]}}}',
+            "succ_reach of node 7, which nodes does not list",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1],'
+            ' "edgesets": [[0, 1, [0, 1]], [0, 1, [2, 3]]]}',
+            "edge 0->1 is listed twice",
+        ),
     ],
 )
 def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reason):
@@ -218,6 +232,67 @@ def test_check_rejects_a_trace_without_a_header(tmp_path, capsys, text, reason):
     captured = capsys.readouterr()
     assert "result: OK" not in captured.out
     assert captured.err == f"error: malformed trace: {reason}\n"
+
+
+# Key 1 holds the copy (5@1) that _upsert(1, 1, ...) writes.
+SNAPSHOT_OF_ONE_COPY = (
+    '{"keyspace_size": 4, "root": 0, "nodes": [0], "contents": {"0": {"1": [5, 1]}}}'
+)
+
+
+def _upsert(key, ts, inv, resp):
+    return json.dumps(
+        {"op": "upsert", "thread": 0, "key": key, "value": 5, "ts": ts, "inv": inv, "resp": resp}
+    )
+
+
+def _search(inv, resp):
+    return json.dumps(
+        {"op": "search", "thread": 1, "key": 1, "value": 5,
+         "t0": 1, "tp": 1, "snap": 1, "inv": inv, "resp": resp}
+    )
+
+
+@pytest.mark.parametrize(
+    "events, reason",
+    [
+        ([_upsert(1, 1, 5, 1), _search(5, 6)], "resp 1 is not after inv 5 at line 2"),
+        ([_upsert(1, 1, 3, 3), _search(4, 5)], "resp 3 is not after inv 3 at line 2"),
+        ([_upsert(1, 1, 0, 1), _search(1, 2)], "sequence number 1 is used twice at line 3"),
+        ([_upsert(1, 1, 0, 2), _search(1, 2)], "sequence number 2 is used twice at line 3"),
+    ],
+)
+def test_check_rejects_a_trace_with_misordered_or_reused_sequence_numbers(
+    tmp_path, capsys, events, reason
+):
+    snap = tmp_path / "s.json"
+    trace = tmp_path / "t.jsonl"
+    snap.write_text(SNAPSHOT_OF_ONE_COPY)
+    trace.write_text("\n".join([json.dumps({"keyspace_size": 4})] + events) + "\n")
+    assert main(["check", str(snap), str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "result: OK" not in captured.out
+    assert captured.err == f"error: malformed trace: {reason}\n"
+
+
+def test_check_rejects_a_trace_wider_than_its_snapshot(tmp_path, capsys):
+    # The write to key 10 lies outside the snapshot's keyspace, where inv1
+    # does not look, so only the keyspace comparison can catch its loss.
+    snap = tmp_path / "s.json"
+    trace = tmp_path / "t.jsonl"
+    snap.write_text(SNAPSHOT_OF_ONE_COPY)
+    trace.write_text(
+        "\n".join([json.dumps({"keyspace_size": 16}), _upsert(1, 1, 0, 1), _upsert(10, 2, 2, 3)])
+        + "\n"
+    )
+    assert main(["check", str(snap), str(trace)]) == 1
+    out = capsys.readouterr().out
+    assert "error: trace keyspace 16 is wider than the snapshot keyspace 4" in out
+    assert out.rstrip().endswith("result: VIOLATIONS FOUND")
+    assert main(["check", str(snap), str(trace), "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["ok"] is False
+    assert obj["error"] == "trace keyspace 16 is wider than the snapshot keyspace 4"
 
 
 def test_check_rejects_a_trace_narrower_than_its_snapshot(tmp_path, capsys):

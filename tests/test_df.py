@@ -6,6 +6,7 @@ import pytest
 from multicopy.checker import check_invariants
 from multicopy.core import MulticopyError, is_tombstone
 from multicopy.df import DfStructure
+from multicopy.harness import check_lock_order
 
 from test_lsm import run_random_ops
 
@@ -21,7 +22,7 @@ def test_create_shape():
 
 def test_sequential_ops_match_dict_oracle():
     s = DfStructure.create(keyspace_size=32, root_capacity=4)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     oracle = run_random_ops(s, random.Random(13), 3000)
     for k in range(32):
         got = s.search(k)
@@ -75,7 +76,7 @@ def test_df_does_not_compact():
 
 def test_concurrent_writers_with_auto_flush():
     s = DfStructure.create(keyspace_size=12, root_capacity=3)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     probes = []
     lock = threading.Lock()
 

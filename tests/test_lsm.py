@@ -18,7 +18,8 @@ from multicopy.core import (
     is_tombstone,
 )
 from multicopy.df import DfStructure
-from multicopy.lsm import LsmStructure, MulticopyStructure, OrderCheckedLock
+from multicopy.harness import OrderCheckedLock, check_lock_order
+from multicopy.lsm import LsmStructure, MulticopyStructure
 from multicopy.history import UpsertHistory
 from multicopy.nodes import NodeHandle, fresh_node_id
 
@@ -48,7 +49,7 @@ def run_random_ops(s, rng, n_ops, oracle=None):
 
 def test_sequential_ops_match_dict_oracle():
     s = LsmStructure.create(keyspace_size=32, root_capacity=4)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     oracle = run_random_ops(s, random.Random(42), 3000)
     for k in range(32):
         got = s.search(k)
@@ -151,7 +152,7 @@ def test_a_failing_merge_step_releases_both_locks():
     assert list(s.handle(root).succ_edgesets) == [t1]
     s.upsert(8, 80)
     s.upsert(9, 90)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     # t2 is not a successor of the root, so the merge step fails after it
     # has taken both locks.
     with pytest.raises(MulticopyError, match=f"no edge {root}->{t2}"):
@@ -170,7 +171,7 @@ def test_a_failing_merge_step_releases_both_locks():
 
 def test_a_sink_grown_after_check_lock_order_gets_a_checking_lock():
     s = LsmStructure.create(keyspace_size=16, root_capacity=2)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     for k in range(4):
         s.upsert(k, k)
         s.compact()  # grows t1, then t2, both after the swap
@@ -334,7 +335,7 @@ def test_constructor_rejects_a_copy_the_history_does_not_hold():
 
 def test_concurrent_hammering_stays_sound():
     s = LsmStructure.create(keyspace_size=24, root_capacity=4)
-    log = s.check_lock_order()
+    log = check_lock_order(s)
     probes = [[] for _ in range(4)]
 
     def worker(tid):
