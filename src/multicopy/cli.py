@@ -51,7 +51,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--maintenance",
         default=d.maintenance,
-        help="on-fail, periodic[:<ms>] or off",
+        help="on-fail or periodic:<ms>; a write whose root no pass relieves fails the run",
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=d.checkpoint_every)

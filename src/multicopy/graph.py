@@ -315,11 +315,20 @@ def _node_id(raw: object) -> NodeId:
     return int_field(raw, "node id")
 
 
+def _decimal_int(raw: str, what: str) -> int:
+    """An object key as graph_to_json writes an int: its decimal str, with
+    no sign, space, underscore or leading zero that int() would also take."""
+    n = int(raw)
+    if str(n) != raw:
+        raise MulticopyError(f"{what} {raw!r} is not written as a decimal int")
+    return n
+
+
 def _decode_records(raw: dict, keyspace_size: int) -> dict[Key, TimedValue]:
     """Copies by key, as written for contents and succ_reach."""
     out: dict[Key, TimedValue] = {}
     for k_s, tv in raw.items():
-        k = int(k_s)
+        k = _decimal_int(k_s, "key")
         check_key(k, keyspace_size)
         out[k] = _decode_tv(tv)
     return out
@@ -347,8 +356,8 @@ def graph_to_json(g: MulticopyGraph) -> dict:
 def graph_from_json(obj: dict) -> MulticopyGraph:
     """Rebuild a snapshot; a malformed one raises MulticopyError. Every key
     it names, in contents, edgesets and succ_reach, must lie in its keyspace,
-    contents and succ_reach may name only listed nodes, and no edge may be
-    listed twice."""
+    contents and succ_reach may name only listed nodes, in the decimal form
+    graph_to_json writes, and no edge may be listed twice."""
     if not isinstance(obj, dict):
         raise MulticopyError("malformed snapshot: expected a JSON object")
     try:
@@ -369,7 +378,7 @@ def graph_from_json(obj: dict) -> MulticopyGraph:
             outs[m] = frozenset(keys)
         for name, records in (("contents", g.contents), ("succ_reach", g.succ_reach)):
             for n_s, raw in obj.get(name, {}).items():
-                n = int(n_s)
+                n = _decimal_int(n_s, "node id")
                 if n not in g.nodes:
                     raise MulticopyError(f"{name} of node {n}, which nodes does not list")
                 records[n] = _decode_records(raw, size)

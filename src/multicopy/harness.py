@@ -76,7 +76,7 @@ class WorkloadConfig:
     structure: str = "lsm"  # lsm | df
     root_capacity: int = 8
     growth_factor: int = 2
-    maintenance: str = "periodic:2"  # on-fail | periodic:<ms> | off
+    maintenance: str = "periodic:2"  # on-fail | periodic:<ms>
     seed: int = 0
     # Per-thread op cadence between quiescent checkpoints; 0 = final only.
     checkpoint_every: int = 2000
@@ -98,10 +98,8 @@ class WorkloadConfig:
 
 def _parse_maintenance(spec: str) -> tuple[str, Optional[float]]:
     """The mode and, for periodic, its interval in seconds."""
-    if spec in ("on-fail", "off"):
+    if spec == "on-fail":
         return spec, None
-    if spec == "periodic":
-        return "periodic", 0.002
     if spec.startswith("periodic:"):
         try:
             seconds = float(spec.split(":", 1)[1]) / 1000.0
@@ -115,9 +113,7 @@ def _parse_maintenance(spec: str) -> tuple[str, Optional[float]]:
                 f" up to {threading.TIMEOUT_MAX * 1000:.0f}, got {spec!r}"
             )
         return "periodic", seconds
-    raise MulticopyError(
-        f"maintenance must be on-fail, periodic[:<ms>] or off, got {spec!r}"
-    )
+    raise MulticopyError(f"maintenance must be on-fail or periodic:<ms>, got {spec!r}")
 
 
 def generate_ops(config: WorkloadConfig, thread_id: int) -> list[tuple]:
@@ -176,9 +172,9 @@ class PauseGate:
 
     Participants wait on one condition and the calling thread on a second
     one over the same lock, so that neither side's wake-ups disturb the
-    other. stop() lifts a pending pause, ignores later requests, makes
-    writers that wait for a pass raise and workers end at their next
-    wait_if_paused.
+    other. stop() lifts a pending pause, ignores later requests, lets
+    writers that wait for a pass go with no pass run (the template then
+    fails their writes) and makes workers end at their next wait_if_paused.
     """
 
     def __init__(self, participants: int):
@@ -258,15 +254,12 @@ class PauseGate:
             return "pass"
 
     def await_pass(self) -> None:
-        """Ask for a maintenance pass and park until one ends. Raises once
-        the gate has stopped."""
+        """Ask for a maintenance pass and park until one ends or the gate stops."""
         with self._cond:
             seen = self._passes
             self._pass_wanted = True
             self._coordinator.notify_all()
             self._park(lambda: self._passes != seen or self._stopped)
-            if self._stopped:
-                raise MulticopyError("maintenance has stopped; nothing makes room at the root")
 
     def pass_done(self) -> None:
         with self._cond:
@@ -522,16 +515,8 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
         def make_room():
             gate.wait_if_paused()
             structure.maintenance_pass()
-    elif mode == "periodic":
-        def make_room():
-            gate.await_pass()
     else:
-        def make_room():
-            raise MulticopyError(
-                f"root full with maintenance off: {config.root_capacity} root "
-                f"slots for a keyspace of {config.keyspace_size} keys, and "
-                "nothing moves copies out of the root"
-            )
+        make_room = gate.await_pass
 
     full_lock = threading.Lock()
 
@@ -676,13 +661,14 @@ def check_files(snapshot_path: str, trace_path: str) -> tuple[bool, dict]:
     g = load_graph(snapshot_path)
     trace = Trace.load(trace_path)
     # Inv1 compares only keys inside the snapshot's keyspace, so it would
-    # miss a write to any key past it. (check_invariants rejects a narrower
-    # trace by name.)
-    if trace.keyspace_size > g.keyspace_size:
+    # miss a write to any key past it; check_invariants raises on a
+    # narrower one.
+    if trace.keyspace_size != g.keyspace_size:
         out["ok"] = False
         out["error"] = (
-            f"trace keyspace {trace.keyspace_size} is wider than the snapshot "
-            f"keyspace {g.keyspace_size}"
+            f"trace keyspace {trace.keyspace_size} is "
+            f"{'wider' if trace.keyspace_size > g.keyspace_size else 'narrower'}"
+            f" than the snapshot keyspace {g.keyspace_size}"
         )
         return False, out
     try:

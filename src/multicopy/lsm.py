@@ -15,7 +15,8 @@ deliberately skimpy:
       releasing the root lock is the moment the upsert takes effect. A full
       root means retry after the root-full hook runs: maintenance_pass
       unless set_on_root_full installed another (the stress harness may
-      hand the wait to the thread that runs its maintenance passes).
+      hand the wait to the thread that runs its maintenance passes). Two
+      hook rounds in a row that move no record make it raise MulticopyError.
 
   compact walks down from the root: lock a full node, pick the successor
       covering most of its live keys (or grow a fresh sink when no edge
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count
 from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from .core import (
@@ -128,6 +129,8 @@ class MulticopyStructure:
         self._locks: dict[NodeId, threading.Lock] = {i: threading.Lock() for i in self._handles}
         self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(given)
         self._clock = self.history.max_published_ts() + 1
+        self._move_stamps = count(1)  # next() is atomic: one stamp per move
+        self._last_move = 0  # stamp of the last merge step that moved a record
         self._all_keys: Optional[frozenset[Key]] = None
         # Runs (lock-free) after a failed root append.
         self._on_root_full: Callable[[], None] = self.maintenance_pass
@@ -190,9 +193,12 @@ class MulticopyStructure:
 
         Retries for as long as the root is full of other keys; each failed
         round runs the root-full hook, which must make room or wait for it.
+        Raises MulticopyError once two rounds in a row move no record: two,
+        as a pass begun before the root filled may end having moved none.
         """
         if not (type(key) is int and 0 <= key < self.keyspace_size):
             check_key(key, self.keyspace_size)
+        idle, seen = 0, None  # hook rounds in a row that moved no record
         while True:
             lock = self._locks[self._root]
             lock.acquire()
@@ -204,8 +210,13 @@ class MulticopyStructure:
                     self.history.record_upsert(key, value, t)
                     self._clock = t + 1
                     return t
+                stamp = self._last_move
             finally:
                 lock.release()
+            idle = idle + 1 if stamp == seen else 0
+            if idle == 2:
+                raise MulticopyError(f"root {self._root} full: two hook rounds moved no record")
+            seen = stamp
             self._on_root_full()
 
     def upsert(self, key: Key, value: Value) -> None:
@@ -215,7 +226,7 @@ class MulticopyStructure:
         self.upsert_timed(key, TOMBSTONE)
 
     def set_on_root_full(self, hook: Callable[[], None]) -> None:
-        """Replace the root-full hook (by default maintenance_pass)."""
+        """Replace the root-full hook (by default maintenance_pass); see upsert_timed."""
         self._on_root_full = hook
 
     def maintenance_pass(self) -> None:
@@ -269,7 +280,9 @@ class MulticopyStructure:
                 child = m_lock
                 n, m = self._handles[nid], self._handles[m_id]
                 moved = merge_contents(n, m, keyspace_size=self.keyspace_size)
-                self._succ_reach[nid].update(moved)
+                if moved:
+                    self._succ_reach[nid].update(moved)
+                    self._last_move = next(self._move_stamps)
         finally:
             # Parent before child, on every exit path.
             lock.release()
@@ -334,13 +347,15 @@ def _check_given_keys(
 
 
 def _stray_key(keys: Collection[Key], keyspace_size: int) -> Optional[object]:
-    """A member of keys that is not an int in [0, keyspace_size), None if
-    there is none. Type, min and max are checked by C-level passes, so a
-    whole-keyspace edgeset costs no Python loop."""
+    """A member of keys that check_key would reject: not an int, a bool, or
+    outside [0, keyspace_size); None if there is none. The key types, min and
+    max are found by C-level passes, so a whole-keyspace edgeset costs no
+    Python loop."""
     if not keys:
         return None
-    if not all(map(isinstance, keys, repeat(int))):
-        return next(k for k in keys if not isinstance(k, int))
+    stray = {t for t in set(map(type, keys)) if t is bool or not issubclass(t, int)}
+    if stray:
+        return next(k for k in keys if type(k) in stray)
     lo, hi = min(keys), max(keys)
     if lo < 0:
         return lo

@@ -14,6 +14,15 @@ from collections import Counter
 
 from multicopy.core import TOMBSTONE, TimedValue
 from multicopy.graph import MulticopyGraph, derive_succ_reach
+from multicopy.lsm import LsmStructure
+from multicopy.nodes import NodeHandle
+
+# (owner, name, replacement) by id: two ways for nothing to relieve a full
+# root, a pass that moves no record and a root that turns every append away.
+UNRELIEVED_ROOT = {
+    "no-op-pass": (LsmStructure, "maintenance_pass", lambda self: None),
+    "refused-append": (NodeHandle, "add_contents", lambda self, key, value, ts: False),
+}
 
 
 class UnprobedEdgeset(frozenset):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 import multicopy
 from multicopy import cli
 from multicopy.cli import SEED_ENV, main
+from support import UNRELIEVED_ROOT
 
 STRESS_SMALL = [
     "stress",
@@ -158,6 +160,20 @@ def test_stress_unwritable_output_fails_before_any_op(tmp_path, capsys, monkeypa
             ' "edgesets": [[0, 1, [0, 1]], [0, 1, [2, 3]]]}',
             "edge 0->1 is listed twice",
         ),
+        # int() would read these as node 0, key 10 and key 1.
+        (
+            '{"keyspace_size": 16, "root": 0, "nodes": [0], "contents": {" +0": {"1_0": [5, 1]}}}',
+            "node id ' +0' is not written as a decimal int",
+        ),
+        (
+            '{"keyspace_size": 16, "root": 0, "nodes": [0], "contents": {"0": {"1_0": [5, 1]}}}',
+            "key '1_0' is not written as a decimal int",
+        ),
+        (
+            '{"keyspace_size": 4, "root": 0, "nodes": [0, 1], "edgesets": [[0, 1, [0, 1]]],'
+            ' "succ_reach": {"0": {"01": [5, 1]}}}',
+            "key '01' is not written as a decimal int",
+        ),
     ],
 )
 def test_check_malformed_snapshot_fails_cleanly(tmp_path, capsys, snapshot, reason):
@@ -300,10 +316,12 @@ def test_check_rejects_a_trace_narrower_than_its_snapshot(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     snap.write_text('{"keyspace_size": 8, "root": 0, "nodes": [0]}')
     trace.write_text(json.dumps({"keyspace_size": 4}) + "\n")
-    assert main(["check", str(snap), str(trace)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: history keyspace 4 is narrower than the snapshot keyspace 8")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert main(["check", str(snap), str(trace), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    obj = json.loads(captured.out)
+    assert obj["ok"] is False
+    assert obj["error"] == "trace keyspace 4 is narrower than the snapshot keyspace 8"
 
 
 def test_stress_json_output(capsys):
@@ -316,9 +334,12 @@ def test_stress_json_output(capsys):
     assert obj["root_full_waits"] >= 0 and obj["root_full_wait_s"] >= 0
 
 
-def test_stress_with_maintenance_off_and_a_full_root_fails_fast(capfd):
+@pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
+@pytest.mark.parametrize("broken", UNRELIEVED_ROOT)
+def test_stress_with_a_root_nothing_relieves_fails_fast(capfd, monkeypatch, maintenance, broken):
+    monkeypatch.setattr(*UNRELIEVED_ROOT[broken])
     started = time.monotonic()
-    rc = main(["stress", "--maintenance", "off"])  # root 8 under 64 keys
+    rc = main(["stress", "--maintenance", maintenance])  # root 8 under 64 keys
     assert time.monotonic() - started < 1
     assert rc == 1
     err = capfd.readouterr().err
@@ -326,8 +347,7 @@ def test_stress_with_maintenance_off_and_a_full_root_fails_fast(capfd):
     assert "Exception in thread" not in err and "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
-    assert errors[0].startswith("error: root full with maintenance off: 8 root slots")
-    assert "64 keys" in errors[0]
+    assert re.fullmatch(r"error: root \d+ full: two hook rounds moved no record", errors[0])
 
 
 def test_bench_subcommand(capsys):
@@ -351,6 +371,11 @@ def test_bad_maintenance_returns_failure(capsys):
         assert rc == 1, spec
         err = capsys.readouterr().err
         assert "maintenance" in err and "Traceback" not in err, (spec, err)
+    for spec in ("off", "periodic"):
+        assert main(["stress", "--maintenance", spec, "--ops-per-thread", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: maintenance must be on-fail or periodic:<ms>, got {spec!r}\n"
+        )
 
 
 def test_seed_env_var_is_the_default(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from multicopy import harness, lsm
+from multicopy.checker import CheckResult
 from multicopy.core import TOMBSTONE, MulticopyError, route
 from multicopy.graph import save_graph
 from multicopy.harness import (
@@ -18,9 +20,10 @@ from multicopy.harness import (
     generate_ops,
     run_stress,
 )
-from multicopy.history import UpsertHistory
+from multicopy.history import HistoryPredicateReport, UpsertHistory
 from multicopy.lsm import LsmStructure, MulticopyStructure, SearchProbe
 from multicopy.nodes import NodeHandle
+from support import UNRELIEVED_ROOT
 
 
 def small_config(**kw):
@@ -94,7 +97,10 @@ def test_config_validation():
         small_config(maintenance="periodic:0").validate()
     with pytest.raises(MulticopyError):
         small_config(checkpoint_every=-1).validate()
-    for ok in ("on-fail", "off", "periodic", "periodic:2.5"):
+    for gone in ("off", "periodic"):
+        with pytest.raises(MulticopyError, match="must be on-fail or periodic:<ms>, got"):
+            small_config(maintenance=gone).validate()
+    for ok in ("on-fail", "periodic:2.5"):
         small_config(maintenance=ok).validate()
 
 
@@ -141,30 +147,28 @@ def test_pause_gate_quiesces_every_participant():
         assert not t.is_alive()
 
 
-def test_a_pass_wait_has_no_timeout():
+def test_a_pass_wait_has_no_timeout_and_ends_when_the_gate_stops():
     gate = PauseGate(1)
-    raised = [None, None]
     jobs = []
 
-    def writer(i):
-        try:
-            gate.await_pass()
-        except MulticopyError as e:
-            raised[i] = e
+    def writer():
+        gate.await_pass()
 
     def take_job():
         jobs.append(gate.next_job(None))
 
-    first = _started(writer, 0)
+    first = _started(writer)
     _started(take_job).join(5)
     assert jobs == ["pass"]
     first.join(0.05)
     assert first.is_alive()  # parked until the pass ends
     gate.pass_done()
     first.join(5)
-    assert not first.is_alive() and raised[0] is None
+    assert not first.is_alive()
 
-    second = _started(writer, 1)
+    # stop() lets the writer go with no pass run; upsert_timed, not the
+    # gate, then fails a write whose root nothing relieves.
+    second = _started(writer)
     _started(take_job).join(5)
     assert jobs == ["pass", "pass"]
     second.join(0.05)
@@ -172,7 +176,7 @@ def test_a_pass_wait_has_no_timeout():
     gate.stop()
     second.join(5)
     assert not second.is_alive()
-    assert isinstance(raised[1], MulticopyError)
+    assert gate._passes == 1
 
 
 def test_a_counted_gate_waits_for_participants_that_have_not_started():
@@ -223,6 +227,72 @@ def test_stress_run_reports_clean_and_complete():
     obj = report.to_json()
     assert obj["ok"] is True and obj["total_ops"] == total
     assert "result: OK" in report.format_text()
+
+
+def test_a_stale_search_fails_the_run_and_the_report_says_why(monkeypatch):
+    search_timed = MulticopyStructure.search_timed
+
+    def stale_search(self, key):
+        # Every key reads as never written, also one written long before.
+        return SearchProbe(TOMBSTONE, 0, search_timed(self, key).snap)
+
+    monkeypatch.setattr(MulticopyStructure, "search_timed", stale_search)
+    report = run_stress(small_config())
+    assert not report.ok
+    assert not report.lock_order_violations
+    assert all(c.ok for c in report.checkpoints) and report.history_predicates.ok
+    obj = report.to_json()
+    assert obj["ok"] is False
+    n = obj["recency_violation_count"]
+    assert n == len(report.recency_violations) > 0
+    v = obj["recency_violations"][0]
+    assert v["value"] is None and v["tp"] == 0 and v["t0"] > 0
+    assert v["reason"] == f"returned ts 0 older than invocation-time ts {v['t0']}"
+    assert obj["linearization"]["ok"] is False and "failure" in obj["linearization"]
+    text = report.format_text().splitlines()
+    assert f"recency violations: {n}" in text
+    assert any(line.startswith("linearization: FAILED {") for line in text)
+    assert text[-1] == "result: FAILURES FOUND"
+    # Each remaining verdict fails the report on its own.
+    clean = dataclasses.replace(report, recency_violations=[], linearization=None)
+    assert clean.ok
+    assert not dataclasses.replace(clean, linearization=report.linearization).ok
+    bad = HistoryPredicateReport(True, False, True, {"index": 1, "ts": 1, "prev_ts": 1})
+    broken = dataclasses.replace(clean, history_predicates=bad)
+    assert not broken.ok
+    assert broken.to_json()["history_predicates"] == {"init": True, "unique": False, "clock": True}
+    assert "history predicates: FAILED" in broken.format_text().splitlines()
+
+
+def test_a_failed_monotonicity_check_fails_its_checkpoints(monkeypatch):
+    witness = {"node": 0, "key": 1, "before_ts": 5, "after_ts": 3}
+    monkeypatch.setattr(
+        harness,
+        "check_inv2_monotone",
+        lambda prev, nxt: CheckResult("inv2_reach_monotone", "", passed=False, witnesses=[witness]),
+    )
+    report = run_stress(small_config())
+    assert not report.ok
+    assert not report.recency_violations and not report.lock_order_violations
+    assert report.linearization.ok and report.history_predicates.ok
+    first, *later = report.checkpoints
+    assert first.ok and later and not any(c.ok for c in later)
+    obj = report.to_json()
+    assert obj["ok"] is False
+    assert [c["ok"] for c in obj["checkpoints"]] == [True] + [False] * len(later)
+    assert obj["checkpoints"][1]["monotone"]["witnesses"] == [witness]
+    text = report.format_text().splitlines()
+    i = text.index(f"checkpoint 1 at {later[0].ops_done} ops: FAILED")
+    assert text[i + 1] == f"    inv2_reach_monotone: {[witness]}"
+    assert text[-1] == "result: FAILURES FOUND"
+    # A failed invariant is listed under its checkpoint, before monotonicity.
+    inv = later[0].invariants.entries[0]
+    inv.passed, inv.skipped, inv.witnesses = False, False, [witness]
+    text = report.format_text().splitlines()
+    assert text[i + 1 : i + 3] == [
+        f"    {inv.check_id}: {[witness]}",
+        f"    inv2_reach_monotone: {[witness]}",
+    ]
 
 
 def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
@@ -408,14 +478,29 @@ def test_stress_on_fail_maintenance_grows_the_structure():
     assert report.root_full_waits > 0 and report.root_full_wait_s > 0
 
 
-def test_stress_maintenance_off_never_flushes():
-    # Root capacity covers the keyspace, so writes never stall.
+def test_stress_on_fail_with_a_root_that_holds_the_keyspace_never_flushes():
+    # Every write after the root holds each key is an overwrite, so no write
+    # finds the root full and no pass runs.
     report = run_stress(
-        small_config(maintenance="off", root_capacity=16, checkpoint_every=0)
+        small_config(maintenance="on-fail", root_capacity=16, checkpoint_every=0)
     )
     assert report.ok, report.format_text()
     assert report.final_nodes == 1
+    assert report.root_full_waits == 0
     assert len(report.checkpoints) == 1  # final only
+
+
+@pytest.mark.parametrize("maintenance", ["on-fail", "periodic:1"])
+@pytest.mark.parametrize("broken", UNRELIEVED_ROOT)
+def test_a_run_whose_root_nothing_relieves_fails_fast(monkeypatch, capfd, maintenance, broken):
+    monkeypatch.setattr(*UNRELIEVED_ROOT[broken])
+    before = threading.active_count()
+    started = time.monotonic()
+    with pytest.raises(MulticopyError, match="full: two hook rounds moved no record"):
+        run_stress(small_config(maintenance=maintenance, root_capacity=4))
+    assert time.monotonic() - started < 1
+    assert threading.active_count() == before
+    assert "Exception in thread" not in capfd.readouterr().err
 
 
 def test_stress_df_structure():
@@ -485,7 +570,7 @@ def test_stress_writes_verifiable_files(tmp_path):
 def test_check_files_rejects_a_doctored_snapshot(tmp_path):
     trace_path = str(tmp_path / "trace.jsonl")
     snap_path = str(tmp_path / "snapshot.json")
-    report = run_stress(small_config(maintenance="off", root_capacity=16))
+    report = run_stress(small_config(maintenance="on-fail", root_capacity=16))
     report.trace.dump(trace_path)
     save_graph(report.snapshot, snap_path)
     obj = json.loads(Path(snap_path).read_text())

@@ -2,7 +2,6 @@ import gc
 import random
 import sys
 import threading
-import time
 from enum import IntEnum
 
 import pytest
@@ -225,7 +224,8 @@ def test_chain_stays_a_list_with_growing_capacities():
 
 def test_full_root_stalls_upserts_until_someone_flushes():
     s = LsmStructure.create(keyspace_size=4, root_capacity=1)
-    s.set_on_root_full(lambda: time.sleep(1e-4))  # wait for room, make none
+    compacted = threading.Event()
+    s.set_on_root_full(lambda: compacted.wait(5))  # wait for room, make none
     s.upsert(0, 5)
     got = {}
 
@@ -235,11 +235,36 @@ def test_full_root_stalls_upserts_until_someone_flushes():
     th = threading.Thread(target=writer, daemon=True)
     th.start()
     th.join(timeout=0.25)
-    assert th.is_alive(), "upsert should spin while the root is full"
+    assert th.is_alive(), "upsert should wait in its hook while the root is full"
     s.compact()
+    compacted.set()
     th.join(timeout=5)
     assert not th.is_alive()
     assert got["ts"] == 2
+    assert s.search(1) == 6
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: LsmStructure.create(4, 1), lambda: DfStructure.create(4, 1)],
+    ids=["lsm", "df"],
+)
+def test_a_root_nothing_relieves_fails_the_write(make):
+    s = make()
+    hooks = []
+    s.set_on_root_full(lambda: hooks.append("no room made"))
+    s.upsert(0, 5)
+    with pytest.raises(
+        MulticopyError,
+        match=f"root {s.root_id} full: two hook rounds moved no record",
+    ):
+        s.upsert(1, 6)
+    assert len(hooks) == 2
+    assert s.clock == 2 and s.search(1) is TOMBSTONE  # nothing was written
+    # A first round that moves nothing, as a pass begun before the root
+    # filled may, does not fail the write when the second one makes room.
+    rounds = iter([lambda: None, s.maintenance_pass])
+    s.set_on_root_full(lambda: next(rounds)())
+    assert s.upsert_timed(1, 6) == 2
     assert s.search(1) == 6
 
 
@@ -298,6 +323,11 @@ def test_constructor_rejects_keys_outside_the_keyspace():
     a = NodeHandle(920, 4, {-1: TimedValue(1, 1)})
     with pytest.raises(StructuralError, match="node 920 holds key -1 outside"):
         LsmStructure(4, a.id, [a, b])
+    # check_key rejects a bool key, so a given node may not hold one either,
+    # not even as the implicit initial copy, which every history contains.
+    a = NodeHandle(920, 4, {True: TimedValue(TOMBSTONE, 0)})
+    with pytest.raises(StructuralError, match="node 920 holds key True outside"):
+        LsmStructure(4, a.id, [a, b])
     a = NodeHandle(920, 4)
     a.succ_edgesets = {b.id: frozenset({0, 1, 77})}
     with pytest.raises(StructuralError, match=r"edge 920->921 owns key 77 outside keyspace \[0, 4\)"):
@@ -311,6 +341,9 @@ def test_constructor_rejects_keys_outside_the_keyspace():
         LsmStructure(4, a.id, [a, b])
     a.succ_edgesets = {b.id: frozenset({0, "x"})}
     with pytest.raises(StructuralError, match="edge 920->921 owns key 'x' outside"):
+        LsmStructure(4, a.id, [a, b])
+    a.succ_edgesets = {b.id: frozenset({False, 1})}
+    with pytest.raises(StructuralError, match="edge 920->921 owns key False outside"):
         LsmStructure(4, a.id, [a, b])
     a.succ_edgesets = {b.id: frozenset(range(4))}
     assert LsmStructure(4, a.id, [a, b]).search(3) is TOMBSTONE
