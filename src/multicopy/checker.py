@@ -1,12 +1,13 @@
 """Offline verification: snapshot invariants and trace linearizability.
 
-check_invariants runs every structural, history and flow condition against
-one quiescent snapshot and reports them all, pass or fail, each failure with
-a concrete witness. Where a property has two independent formulations (the
-recursive reach versus the per-node local view backed by flows, or the
-set-propagated inset versus the inset flow's support), both are computed and
-compared; agreement is a check in its own right, so a bug in either side
-shows up instead of hiding.
+check_invariants runs CHECKS, one table of named structural, history and flow
+checks, each a function of one quiescent snapshot's views (reach, insets, both
+flows, local views) built once per call. It reports every check, pass or fail,
+each failure with a concrete witness. Where a property has two independent
+formulations (the recursive reach versus the per-node local view backed by
+flows, or the set-propagated inset versus the inset flow's support), both are
+computed and compared; agreement is a check in its own right, so a bug in
+either side shows up instead of hiding.
 
 linearize reconstructs a sequential order for a concurrent trace. Upserts go
 in timestamp order, which is their commit order. A search that returned the
@@ -23,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 from typing import Optional
 
@@ -99,6 +101,38 @@ def _cap(ws: list[dict]) -> list[dict]:
     return ws[:WITNESS_CAP]
 
 
+class _NotEvaluated(Exception):
+    """A check read a view that the structure gate left unbuilt."""
+
+
+class _Views:
+    """What the checks read of one snapshot, each view built once. Of a graph
+    with a cycle or an invalid endpoint only the structural issues are built,
+    so a check that reads any other view is not evaluated. `failed` collects
+    the checks that ran and failed, for a check that rests on them."""
+
+    def __init__(self, g: MulticopyGraph, h: UpsertHistory, clock: Timestamp):
+        self.issues = structural_issues(g)
+        self.failed: set[str] = set()
+        if any(i["kind"] != "edgeset_overlap" for i in self.issues):
+            return
+        # A history narrower than the keyspace cannot tell the newest copy
+        # of the keys past its end, so it is rejected.
+        if g.keyspace_size > h.keyspace_size:
+            raise MulticopyError(f"history keyspace {h.keyspace_size} is narrower than the "
+                                 f"snapshot keyspace {g.keyspace_size}")
+        self.g, self.h, self.clock = g, h, clock
+        self.nodes = sorted(g.nodes)
+        self.reach = reach_maps(g)
+        self.insets = inset_map(g)
+        self.flows = {kind: compute_flow(g, kind) for kind in ("cir", "inset")}
+        self.local = {n: local_reach(g, n) for n in g.nodes}
+        self.preds = predecessors(g)
+
+    def __getattr__(self, name: str):
+        raise _NotEvaluated(name)
+
+
 # Whole-input tests, each one C-level set or dict operation. A check runs
 # its witness loop only where its test fails, so a passing snapshot costs
 # little, and a failing one gets the witnesses the loop has always built.
@@ -126,276 +160,240 @@ def _keys_within_flow(view: dict, fl: Counter) -> bool:
     return min(fl.values(), default=1) > 0 and view.keys() <= fl.keys()
 
 
-# Every entry of a check_invariants report, in report order.
-CHECKS = [
-    ("acyclic", "node graph is a DAG"),
-    ("edgesets_disjoint", "outgoing edgesets of each node are pairwise disjoint"),
-    ("endpoints_valid", "root and edge endpoints are nodes of the graph"),
-    ("inv1_logical_matches_reach", "history max-ts map equals reach of root"),
-    ("inv3_contents_in_history", "every stored copy appears in the history"),
-    ("inv4_ts_below_clock", "every logged timestamp is below the clock"),
-    ("inv6_downstream_older", "copies get older when moving down an edge"),
-    ("inv7_reach_within_inset", "reachable keys of a node lie in its inset"),
-    ("inv8_pred_insets_disjoint", "shared edge keys are in at most one predecessor inset"),
-    ("flow_local_edges", "recorded handed-down keys are routed by some edge"),
-    ("flow_reach_agree", "incoming copy flow matches the local reach view"),
-    ("flow_time_order", "handed-down copy is never newer than the local view"),
-    ("flow_inset_cover", "locally visible keys are covered by the inset flow"),
-    ("flow_inset_unique", "inset flow multiplicity is at most one"),
-    ("floweqn_cir_residual", "copy flow satisfies its flow equation"),
-    ("floweqn_inset_residual", "inset flow satisfies its flow equation"),
-    ("inset_flow_matches_inset", "inset flow support equals set-propagated insets"),
-    ("local_vs_recursive_reach", "local reach view equals recursive reach"),
-]
-_LABELS = dict(CHECKS)
+# Each check returns its witnesses in the order a walk over sorted nodes and keys
+# finds them. It tests the stored copies first and sorts only its failures, so
+# its cost follows the copies and succ_reach records, not the keyspace.
 
 
-def check_invariants(
-    g: MulticopyGraph, h: UpsertHistory, clock: Timestamp
-) -> InvariantReport:
-    """Full single-snapshot suite. Requires that g, h and clock were taken
-    together at quiescence; nothing here locks anything.
+def _issues(*kinds: str):
+    """A structural check: the issues of these kinds."""
+    return lambda v: [i for i in v.issues if i["kind"] in kinds]
 
-    Each check tests the stored copies first and sorts only its failures,
-    so its cost follows the copies and succ_reach records, not the keyspace.
-    Witnesses come out in the order a sorted walk would find them."""
-    report = InvariantReport()
 
-    def add(check_id: str, ws: list[dict]) -> CheckResult:
-        result = CheckResult(
-            check_id, _LABELS[check_id], passed=not ws, witnesses=_cap(ws)
-        )
-        report.entries.append(result)
-        return result
-
-    issues = structural_issues(g)
-    cyclic = [i for i in issues if i["kind"] == "cycle"]
-    add("acyclic", cyclic)
-    add("edgesets_disjoint", [i for i in issues if i["kind"] == "edgeset_overlap"])
-    other = [i for i in issues if i["kind"] not in ("cycle", "edgeset_overlap")]
-    add("endpoints_valid", other)
-
-    if cyclic or other:
-        for check_id, _ in CHECKS[3:]:
-            add(check_id, [{"not_evaluated": "structure checks failed"}])
-        return report
-
-    reach = reach_maps(g)
-    insets = inset_map(g)
-    cir_flow = compute_flow(g, "cir")
-    inset_flow = compute_flow(g, "inset")
-    root_reach = reach[g.root]
-    nodes = sorted(g.nodes)
-
-    # Inv1: the logical map told by the history equals the root's reach. A
-    # key that neither holds is INITIAL on both sides, so only held keys are
-    # compared. A history narrower than the keyspace cannot tell the newest
-    # copy of the keys past its end, so it is rejected.
-    if g.keyspace_size > h.keyspace_size:
-        raise MulticopyError(
-            f"history keyspace {h.keyspace_size} is narrower than the "
-            f"snapshot keyspace {g.keyspace_size}"
-        )
-    newest = h.newest_copies()
+def _inv1_logical_matches_reach(v: _Views) -> list[dict]:
+    """The logical map told by the history equals the root's reach. A key
+    that neither holds is INITIAL on both sides, so only held keys are
+    compared."""
+    newest, root_reach, keyspace = v.h.newest_copies(), v.reach[v.g.root], v.g.keyspace_size
     ws = []
     for k in newest.keys() | root_reach.keys():
-        if 0 <= k < g.keyspace_size:
+        if 0 <= k < keyspace:
             # A copy equals the plain (value, ts) tuple of its fields.
             logical, reached = newest.get(k, INITIAL), root_reach.get(k, INITIAL)
             if logical != reached:
-                ws.append(
-                    {
-                        "key": k,
-                        "history": [encode_value(logical[0]), logical[1]],
-                        "reach": [encode_value(reached.value), reached.ts],
-                    }
-                )
-    ws.sort(key=lambda w: w["key"])
-    add("inv1_logical_matches_reach", ws)
+                ws.append({"key": k, "history": [encode_value(logical[0]), logical[1]],
+                           "reach": [encode_value(reached.value), reached.ts]})
+    return sorted(ws, key=lambda w: w["key"])
 
-    # Inv3: no node invents copies that were never upserted.
-    ws = []
-    for n in nodes:
-        bad = [
-            (k, tv)
-            for k, tv in g.node_contents(n).items()
-            if not h.contains(k, tv.value, tv.ts)
-        ]
-        ws += (
-            {"node": n, "key": k, "copy": [encode_value(tv.value), tv.ts]}
-            for k, tv in sorted(bad)
-        )
-    add("inv3_contents_in_history", ws)
 
-    # Inv4: the clock is ahead of everything logged.
-    ws = []
-    if not _all_below(h, clock):
-        ws = [{"ts": t, "key": k, "clock": clock} for k, v, t in h.entries() if t >= clock]
-    add("inv4_ts_below_clock", ws)
+def _inv3_contents_in_history(v: _Views) -> list[dict]:
+    """No node invents copies that were never upserted."""
+    ws, contains = [], v.h.contains
+    for n in v.nodes:
+        bad = [(k, tv) for k, tv in v.g.node_contents(n).items()
+               if not contains(k, tv.value, tv.ts)]
+        ws += ({"node": n, "key": k, "copy": [encode_value(tv.value), tv.ts]}
+               for k, tv in sorted(bad))
+    return ws
 
-    # Inv6: along an edge owning k, the downstream reach is not newer than
-    # the upstream copy. This is what makes the first copy found correct.
+
+def _inv4_ts_below_clock(v: _Views) -> list[dict]:
+    """The clock is ahead of everything logged."""
+    if _all_below(v.h, v.clock):
+        return []
+    return [{"ts": t, "key": k, "clock": v.clock} for k, _, t in v.h.entries() if t >= v.clock]
+
+
+def _inv6_downstream_older(v: _Views) -> list[dict]:
+    """Along an edge owning k, the downstream reach is not newer than the
+    upstream copy. This is what makes the first copy found correct."""
     ws = []
-    for n, m, ks in sorted(g.edges()):
-        cn, below = g.node_contents(n), reach[m]
+    for n, m, ks in sorted(v.g.edges()):
+        cn, below = v.g.node_contents(n), v.reach[m]
         bad = [k for k in ks.intersection(cn) if below.get(k, INITIAL).ts > cn[k].ts]
-        ws += (
-            {
-                "node": n,
-                "succ": m,
-                "key": k,
-                "upstream_ts": cn[k].ts,
-                "downstream_ts": below.get(k, INITIAL).ts,
-            }
-            for k in sorted(bad)
-        )
-    add("inv6_downstream_older", ws)
+        ws += ({"node": n, "succ": m, "key": k, "upstream_ts": cn[k].ts,
+                "downstream_ts": below.get(k, INITIAL).ts} for k in sorted(bad))
+    return ws
 
-    # Inv7: a node only has reachable copies for keys that can arrive there.
-    ws = []
-    for n in nodes:
-        ws += ({"node": n, "key": k} for k in sorted(set(reach[n]) - insets[n]))
-    add("inv7_reach_within_inset", ws)
 
-    # Inv8: when two edges into the same node own the same key, at most one
-    # of the two sources can actually be reached with that key.
-    preds = predecessors(g)
+def _inv7_reach_within_inset(v: _Views) -> list[dict]:
+    """A node only has reachable copies for keys that can arrive there."""
     ws = []
-    for m in nodes:
-        ps = sorted(preds[m])
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                a, b = ps[i], ps[j]
-                common = g.edgesets[a][m] & g.edgesets[b][m]
-                bad = common & insets[a] & insets[b]
-                for k in sorted(bad):
-                    ws.append({"node": m, "pred_a": a, "pred_b": b, "key": k})
-    add("inv8_pred_insets_disjoint", ws)
+    for n in v.nodes:
+        ws += ({"node": n, "key": k} for k in sorted(set(v.reach[n]) - v.insets[n]))
+    return ws
 
-    # Flow condition 1: every recorded handed-down key has an outgoing edge.
+
+def _inv8_pred_insets_disjoint(v: _Views) -> list[dict]:
+    """When two edges into the same node own the same key, at most one of
+    the two sources can actually be reached with that key."""
     ws = []
-    for n in nodes:
-        unrouted = set(g.node_succ_reach(n))
-        for ks in g.successors(n).values():
-            unrouted -= ks
+    for m in v.nodes:
+        for a, b in combinations(sorted(v.preds[m]), 2):
+            common = v.g.edgesets[a][m] & v.g.edgesets[b][m]
+            bad = common & v.insets[a] & v.insets[b]
+            ws += ({"node": m, "pred_a": a, "pred_b": b, "key": k} for k in sorted(bad))
+    return ws
+
+
+def _flow_local_edges(v: _Views) -> list[dict]:
+    """Flow condition 1: every recorded handed-down key has an outgoing edge."""
+    ws = []
+    for n in v.nodes:
+        unrouted = set(v.g.node_succ_reach(n)).difference(*v.g.successors(n).values())
         ws += ({"node": n, "key": k} for k in sorted(unrouted))
-    phi1 = add("flow_local_edges", ws)
+    return ws
 
-    # Flow condition 2: whatever copy flows into n, n's local view agrees.
+
+def _flow_reach_agree(v: _Views) -> list[dict]:
+    """Flow condition 2: whatever copy flows into n, n's local view agrees."""
     ws = []
-    local = {n: local_reach(g, n) for n in g.nodes}
-    for n in nodes:
-        view = local[n]
-        if _flow_within_view(cir_flow[n], view):
+    for n in v.nodes:
+        fl, view = v.flows["cir"][n], v.local[n]
+        if _flow_within_view(fl, view):
             continue
-        bad = [
-            (k, tv)
-            for (k, tv), cnt in cir_flow[n].items()
-            if cnt > 0 and (got := view.get(k)) is not tv and got != tv
-        ]
+        bad = [(k, tv) for (k, tv), cnt in fl.items()
+               if cnt > 0 and (got := view.get(k)) is not tv and got != tv]
         for k, tv in sorted(bad, key=lambda el: (el[0], el[1].ts)):
             got = view.get(k)
-            ws.append(
-                {
-                    "node": n,
-                    "key": k,
-                    "flowed": [encode_value(tv.value), tv.ts],
-                    "local": None if got is None else [encode_value(got.value), got.ts],
-                }
-            )
-    phi2 = add("flow_reach_agree", ws)
+            ws.append({"node": n, "key": k, "flowed": [encode_value(tv.value), tv.ts],
+                       "local": None if got is None else [encode_value(got.value), got.ts]})
+    return ws
 
-    # Flow condition 3: handing a copy down never advances its time. Where
-    # the node holds no copy of its own, the local view is the recorded copy
-    # itself, so only the keys it both holds and records can fail.
-    ws = []
-    for n in nodes:
-        view, sr = local[n], g.node_succ_reach(n)
-        bad = [
-            (k, sr[k].ts, mine.ts)
-            for k in _held_and_recorded(g.node_contents(n), sr)
-            if sr[k].ts > (mine := view.get(k, INITIAL)).ts
-        ]
-        ws += (
-            {"node": n, "key": k, "recorded_ts": t, "local_ts": mine_ts}
-            for k, t, mine_ts in sorted(bad)
-        )
-    add("flow_time_order", ws)
 
-    # Flow condition 4: keys a node can see must be able to arrive there.
+def _flow_time_order(v: _Views) -> list[dict]:
+    """Flow condition 3: handing a copy down never advances its time. Where
+    the node holds no copy of its own, the local view is the recorded copy
+    itself, so only the keys it both holds and records can fail."""
     ws = []
-    for n in nodes:
-        fl = inset_flow[n]
-        if _keys_within_flow(local[n], fl):
-            continue
-        ws += (
-            {"node": n, "key": k}
-            for k in sorted([k for k in local[n] if fl.get(k, 0) <= 0])
-        )
-    add("flow_inset_cover", ws)
+    for n in v.nodes:
+        view, sr = v.local[n], v.g.node_succ_reach(n)
+        bad = [(k, sr[k].ts, mine.ts) for k in _held_and_recorded(v.g.node_contents(n), sr)
+               if sr[k].ts > (mine := view.get(k, INITIAL)).ts]
+        ws += ({"node": n, "key": k, "recorded_ts": t, "local_ts": mine_ts}
+               for k, t, mine_ts in sorted(bad))
+    return ws
 
-    # Flow condition 5: no key can arrive at a node along two routes.
+
+def _flow_inset_cover(v: _Views) -> list[dict]:
+    """Flow condition 4: keys a node can see must be able to arrive there."""
     ws = []
-    for n in nodes:
-        fl = inset_flow[n]
+    for n in v.nodes:
+        view, fl = v.local[n], v.flows["inset"][n]
+        if not _keys_within_flow(view, fl):
+            ws += ({"node": n, "key": k} for k in sorted([k for k in view if fl.get(k, 0) <= 0]))
+    return ws
+
+
+def _flow_inset_unique(v: _Views) -> list[dict]:
+    """Flow condition 5: no key can arrive at a node along two routes."""
+    ws = []
+    for n in v.nodes:
+        fl = v.flows["inset"][n]
         if max(fl.values(), default=0) > 1:
-            ws += (
-                {"node": n, "key": k, "multiplicity": cnt}
-                for k, cnt in sorted((k, c) for k, c in fl.items() if c > 1)
-            )
-    add("flow_inset_unique", ws)
+            ws += ({"node": n, "key": k, "multiplicity": cnt}
+                   for k, cnt in sorted((k, c) for k, c in fl.items() if c > 1))
+    return ws
 
-    # The flow equation must hold exactly for both flows.
-    for kind, check_id, fl in (
-        ("cir", "floweqn_cir_residual", cir_flow),
-        ("inset", "floweqn_inset_residual", inset_flow),
-    ):
-        res = flow_residuals(g, kind, fl)
-        add(
-            check_id,
-            [
-                {"node": n, "residual": {repr(el): c for el, c in diff.items()}}
-                for n, diff in sorted(res.items())
-            ],
-        )
 
-    # Cross-validation: the two inset formulations must agree exactly.
+def _residuals(v: _Views, kind: str) -> list[dict]:
+    """The flow equation must hold exactly for the flow of this kind."""
+    res = flow_residuals(v.g, kind, v.flows[kind])
+    return [{"node": n, "residual": {repr(el): c for el, c in diff.items()}}
+            for n, diff in sorted(res.items())]
+
+
+def _floweqn_cir_residual(v: _Views) -> list[dict]:
+    return _residuals(v, "cir")
+
+
+def _floweqn_inset_residual(v: _Views) -> list[dict]:
+    return _residuals(v, "inset")
+
+
+def _inset_flow_matches_inset(v: _Views) -> list[dict]:
+    """Cross-validation: the two inset formulations must agree exactly."""
     ws = []
-    for n in nodes:
-        fl = inset_flow[n]
-        if min(fl.values(), default=1) > 0:
-            support = frozenset(fl)
+    for n in v.nodes:
+        fl, inset = v.flows["inset"][n], v.insets[n]
+        if min(fl.values(), default=1) <= 0:
+            fl = {k: c for k, c in fl.items() if c > 0}
+        if fl.keys() != inset:
+            ws.append({"node": n, "flow_only": sorted(fl.keys() - inset),
+                       "set_only": sorted(inset - fl.keys())})
+    return ws
+
+
+# Why a check skips: a check it rests on failed.
+_SKIP_REASON = "flow conditions 1/2 already failed"
+
+
+def _local_vs_recursive_reach(v: _Views) -> Optional[list[dict]]:
+    """Cross-validation: when conditions 1 and 2 hold everywhere, the local
+    view must equal the recursive reach at every node, not just the root.
+    None (skipped) where either failed."""
+    if v.failed & {"flow_local_edges", "flow_reach_agree"}:
+        return None
+    ws = []
+    for n in v.nodes:
+        local, reach = v.local[n], v.reach[n]
+        if local != reach:
+            diff_keys = sorted(k for k in local.keys() | reach.keys()
+                               if local.get(k) != reach.get(k))
+            ws.append({"node": n, "keys": diff_keys[:10]})
+    return ws
+
+
+# Every entry of a check_invariants report, in report order: its id, its
+# label and the check that returns its witnesses, or None where it skips.
+CHECKS = [
+    ("acyclic", "node graph is a DAG", _issues("cycle")),
+    ("edgesets_disjoint", "outgoing edgesets of each node are pairwise disjoint",
+     _issues("edgeset_overlap")),
+    ("endpoints_valid", "root and edge endpoints are nodes of the graph",
+     _issues("root_missing", "dangling_edge")),
+    ("inv1_logical_matches_reach", "history max-ts map equals reach of root",
+     _inv1_logical_matches_reach),
+    ("inv3_contents_in_history", "every stored copy appears in the history",
+     _inv3_contents_in_history),
+    ("inv4_ts_below_clock", "every logged timestamp is below the clock", _inv4_ts_below_clock),
+    ("inv6_downstream_older", "copies get older when moving down an edge",
+     _inv6_downstream_older),
+    ("inv7_reach_within_inset", "reachable keys of a node lie in its inset",
+     _inv7_reach_within_inset),
+    ("inv8_pred_insets_disjoint", "shared edge keys are in at most one predecessor inset",
+     _inv8_pred_insets_disjoint),
+    ("flow_local_edges", "recorded handed-down keys are routed by some edge", _flow_local_edges),
+    ("flow_reach_agree", "incoming copy flow matches the local reach view", _flow_reach_agree),
+    ("flow_time_order", "handed-down copy is never newer than the local view", _flow_time_order),
+    ("flow_inset_cover", "locally visible keys are covered by the inset flow", _flow_inset_cover),
+    ("flow_inset_unique", "inset flow multiplicity is at most one", _flow_inset_unique),
+    ("floweqn_cir_residual", "copy flow satisfies its flow equation", _floweqn_cir_residual),
+    ("floweqn_inset_residual", "inset flow satisfies its flow equation",
+     _floweqn_inset_residual),
+    ("inset_flow_matches_inset", "inset flow support equals set-propagated insets",
+     _inset_flow_matches_inset),
+    ("local_vs_recursive_reach", "local reach view equals recursive reach",
+     _local_vs_recursive_reach),
+]
+
+
+def check_invariants(g: MulticopyGraph, h: UpsertHistory, clock: Timestamp) -> InvariantReport:
+    """Every entry of CHECKS for one snapshot, in order. g, h and clock must
+    be taken together at quiescence; nothing here locks anything."""
+    v = _Views(g, h, clock)
+    report = InvariantReport()
+    for check_id, label, check in CHECKS:
+        try:
+            ws = check(v)
+        except _NotEvaluated:
+            ws = [{"not_evaluated": "structure checks failed"}]
         else:
-            support = frozenset(k for k, c in fl.items() if c > 0)
-        if support != insets[n]:
-            ws.append(
-                {
-                    "node": n,
-                    "flow_only": sorted(support - insets[n]),
-                    "set_only": sorted(insets[n] - support),
-                }
-            )
-    add("inset_flow_matches_inset", ws)
-
-    # Cross-validation: when conditions 1 and 2 hold everywhere, the local
-    # view must equal the recursive reach at every node, not just the root.
-    if phi1.passed and phi2.passed:
-        ws = []
-        for n in nodes:
-            if local[n] != reach[n]:
-                diff_keys = sorted(
-                    k
-                    for k in set(local[n]) | set(reach[n])
-                    if local[n].get(k) != reach[n].get(k)
-                )
-                ws.append({"node": n, "keys": diff_keys[:10]})
-        add("local_vs_recursive_reach", ws)
-    else:
-        add(
-            "local_vs_recursive_reach",
-            [{"not_evaluated": "flow conditions 1/2 already failed"}],
-        ).skipped = True
-
+            if ws:
+                v.failed.add(check_id)
+        if skipped := ws is None:
+            ws = [{"not_evaluated": _SKIP_REASON}]
+        report.entries.append(CheckResult(check_id, label, not ws, _cap(ws), skipped))
     return report
 
 

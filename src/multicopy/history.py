@@ -68,10 +68,9 @@ class UpsertHistory:
         """Current published length; index of a frozen consistent prefix."""
         return self._published
 
-    def entries(self, upto: Optional[int] = None) -> Iterator[tuple[Key, Value, Timestamp]]:
-        """Iterate the published prefix (or a shorter one)."""
-        n = self._published if upto is None else min(upto, self._published)
-        return islice(zip(self._keys, self._values, self._ts), n)
+    def entries(self) -> Iterator[tuple[Key, Value, Timestamp]]:
+        """Iterate the published prefix."""
+        return islice(zip(self._keys, self._values, self._ts), self._published)
 
     def record_upsert(self, key: Key, value: Value, ts: Timestamp) -> None:
         """Append one upsert. Caller must hold the root lock.

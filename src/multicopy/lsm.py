@@ -123,6 +123,8 @@ class MulticopyStructure:
             fields = " ".join(f"{k}={v}" for k, v in issues[0].items())
             raise StructuralError(f"malformed node graph: {fields}")
         self.history = history if history is not None else UpsertHistory(keyspace_size)
+        if self.history.keyspace_size != keyspace_size:
+            raise MulticopyError(f"history keyspace {history.keyspace_size} is not {keyspace_size}")
         _check_given_keys(self._handles.values(), keyspace_size, self.history)
         self._root = root
         self._make_lock: Callable[[NodeId], threading.Lock] = lambda nid: threading.Lock()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from multicopy import checker
 from multicopy.checker import (
     check_inv2_monotone,
     check_invariants,
@@ -214,6 +215,51 @@ def test_structure_failures_gate_the_rest():
     gated = report.entry("inv1_logical_matches_reach")
     assert not gated.passed and not gated.skipped
     assert gated.witnesses == [{"not_evaluated": "structure checks failed"}]
+
+
+def _doctored_lsm(monkeypatch, name, doctor):
+    """The largest node id of a 16-key lsm snapshot, and the snapshot's checker
+    report with each result of checker.<name>(*args) doctored there by
+    doctor(result, node, *args)."""
+    s = LsmStructure.create(keyspace_size=16, root_capacity=4)
+    for i in range(40):
+        s.upsert(i * 7 % 16, i)
+    g = s.snapshot_graph()
+    n, real = max(g.nodes), getattr(checker, name)
+
+    def doctored(*args):
+        out = real(*args)
+        doctor(out, n, *args)
+        return out
+
+    monkeypatch.setattr(checker, name, doctored)
+    return n, check_invariants(g, s.history, s.clock)
+
+
+def test_flow_residuals_fire_on_a_doctored_flow(monkeypatch):
+    # Both flows get one element's count bumped at one node, so each flow
+    # equation leaves a residual of one there.
+    bumped = {}
+
+    def bump(fl, n, g, kind):
+        bumped[kind] = el = min(fl[n], key=repr)
+        fl[n][el] += 1
+
+    n, report = _doctored_lsm(monkeypatch, "compute_flow", bump)
+    for kind in ("cir", "inset"):
+        bad = report.entry(f"floweqn_{kind}_residual")
+        assert not bad.passed
+        assert bad.witnesses == [{"node": n, "residual": {repr(bumped[kind]): 1}}]
+
+
+def test_inset_formulations_disagree_on_a_doctored_inset(monkeypatch):
+    def drop_min_key(insets, n, g):
+        insets[n] = insets[n] - {min(insets[n])}
+
+    n, report = _doctored_lsm(monkeypatch, "inset_map", drop_min_key)
+    bad = report.entry("inset_flow_matches_inset")
+    assert not bad.passed
+    assert bad.witnesses == [{"node": n, "flow_only": [0], "set_only": []}]
 
 
 def test_format_text_names_every_check():

@@ -89,6 +89,31 @@ def test_check_flags_violations(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def test_check_names_a_linearization_failure(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    snap = str(tmp_path / "s.json")
+    assert main(STRESS_SMALL + ["--trace-out", str(trace), "--snapshot-out", snap]) == 0
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    events = [json.loads(line) for line in lines[1:]]
+    upserts = [e for e in events if e["op"] == "upsert"]
+    # A search, after every other op, that returns an overwritten copy.
+    old = next(
+        a for a in upserts for b in upserts
+        if a["key"] == b["key"] and a["ts"] < b["ts"] and a["value"] != b["value"]
+    )
+    last = max(e["resp"] for e in events)
+    stale = {"op": "search", "thread": 0, "key": old["key"], "value": old["value"],
+             "t0": old["ts"], "tp": old["ts"], "snap": len(upserts),
+             "inv": last + 1, "resp": last + 2}
+    trace.write_text("\n".join(lines + [json.dumps(stale)]) + "\n")
+    assert main(["check", snap, str(trace)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = [line for line in out if line.startswith("[FAIL] linearization: ")]
+    assert len(failed) == 1 and "value_mismatch" in failed[0]
+    assert out[-1] == "result: VIOLATIONS FOUND"
+
+
 def test_check_missing_file_fails_cleanly(tmp_path, capsys):
     assert main(["check", str(tmp_path / "no.json"), str(tmp_path / "no.jsonl")]) == 1
     assert "error" in capsys.readouterr().err
@@ -358,6 +383,10 @@ def test_bench_subcommand(capsys):
     assert rc == 0
     assert obj["total_ops"] == 400
     assert obj["throughput_ops_s"] > 0
+    assert main(["bench", "--threads", "2", "--ops-per-thread", "200"]) == 0
+    assert re.fullmatch(
+        r"400 ops in \d+\.\d\ds: \d+ ops/s \(\d+ nodes\)\n", capsys.readouterr().out
+    )
 
 
 def test_bad_mix_is_a_usage_error():

@@ -177,7 +177,7 @@ def test_snapshot_grows_with_appends():
     assert h.snapshot() == 1
     h.record_upsert(1, 2, 2)
     assert h.snapshot() == 2
-    assert list(h.entries(upto=1)) == [(0, 1, 1)]
+    assert list(h.entries()) == [(0, 1, 1), (1, 2, 2)]
 
 
 def test_search_recency_accepts_current_and_rejects_stale():

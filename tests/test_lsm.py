@@ -297,6 +297,11 @@ def test_constructor_validation():
         MulticopyStructure(4, root.id, [root], growth_factor=0)
     with pytest.raises(MulticopyError):
         LsmStructure.create(keyspace_size=4, root_capacity=4).upsert(4, 1)
+    # A history of another keyspace would accept or reject keys the
+    # structure does not, after the root has taken the write.
+    for other in (4, 16):
+        with pytest.raises(MulticopyError, match=f"history keyspace {other} is not 8"):
+            LsmStructure(8, root.id, [root], history=UpsertHistory(other))
     # Malformed shapes are only built, never searched: a search over the
     # cycle would never return.
     a, b, c = NodeHandle(910, 4), NodeHandle(911, 4), NodeHandle(912, 4)
