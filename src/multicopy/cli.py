@@ -5,15 +5,13 @@
     multicopy replay   rebuild a bundled scenario and verify its states
     multicopy check    verify a written snapshot/trace pair
 
-Exit status is 0 when everything passed, 1 otherwise. MULTICOPY_SEED sets
-the default seed.
+Exit status is 0 when everything passed, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -21,19 +19,6 @@ from .core import MulticopyError
 from .fixtures import REPLAYS, replay_fixture
 from .graph import save_graph
 from .harness import WorkloadConfig, check_files, run_stress
-
-SEED_ENV = "MULTICOPY_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{SEED_ENV} must be an integer, got {raw!r}")
-
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     d = WorkloadConfig()
@@ -53,7 +38,7 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
         default=d.maintenance,
         help="on-fail or periodic:<ms>; a write whose root no pass relieves fails the run",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--checkpoint-every", type=int, default=d.checkpoint_every)
     p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -74,7 +59,7 @@ def _config_from_args(args: argparse.Namespace) -> WorkloadConfig:
         root_capacity=args.root_capacity,
         growth_factor=args.growth_factor,
         maintenance=args.maintenance,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
         checkpoint_every=args.checkpoint_every,
     )
 

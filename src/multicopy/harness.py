@@ -82,7 +82,7 @@ class WorkloadConfig:
     checkpoint_every: int = 2000
 
     def validate(self) -> None:
-        if sum(self.mix) != 100 or any(m < 0 for m in self.mix):
+        if len(self.mix) != 3 or sum(self.mix) != 100 or any(m < 0 for m in self.mix):
             raise MulticopyError(f"mix must be three percentages summing to 100, got {self.mix}")
         if self.structure not in ("lsm", "df"):
             raise MulticopyError(f"structure must be lsm or df, got {self.structure!r}")
@@ -442,6 +442,7 @@ class StressReport:
             "recency_violations": self.recency_violations[:20],
             "recency_violation_count": len(self.recency_violations),
             "lock_order_violations": self.lock_order_violations[:20],
+            "lock_order_violation_count": len(self.lock_order_violations),
             "checkpoints": [c.to_json() for c in self.checkpoints],
             "linearization": None
             if self.linearization is None
@@ -542,11 +543,10 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
     completed = itertools.count(1)
 
     def worker(tid: int) -> None:
-        ops = generate_ops(config, tid)
         events = events_per_thread[tid]
         violations = violations_per_thread[tid]
         try:
-            for i, op in enumerate(ops):
+            for i, op in enumerate(generate_ops(config, tid)):
                 if not gate.wait_if_paused():
                     break
                 if op[0] == "search":

@@ -1,13 +1,13 @@
 """Upsert history: the append-only log that defines what a search may return.
 
-Every successful upsert appends (key, value, ts) while holding the root lock,
-so the log order equals timestamp order and timestamps are dense (the entry
-with timestamp t sits at index t-1). Readers never lock: they take a snapshot
-by reading the published length and treat the prefix below it as a frozen
-history H0. On top of the log live the two derived notions the checkers need:
-max_ts (the current copy of a key, (tombstone, 0) if never written) and the
-per-search recency condition "the returned copy is no older than the key's
-copy at invocation time".
+Every successful upsert appends (key, value) while holding the root lock and
+takes the next timestamp of a gapless clock, so a timestamp is a log position:
+the entry at index i has timestamp i+1, and no timestamp is stored. Readers
+never lock: they take a snapshot by reading the published length and treat
+the prefix below it as a frozen history H0. On top of the log live the two
+derived notions the checkers need: max_ts (the current copy of a key,
+(tombstone, 0) if never written) and the per-search recency condition "the
+returned copy is no older than the key's copy at invocation time".
 
 Traces are separate from the history: they record operation invocations and
 responses (with global sequence numbers) for offline linearizability
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, Optional, Union
 
 from .core import (
@@ -50,11 +50,11 @@ class UpsertHistory:
     def __init__(self, keyspace_size: int):
         check_keyspace(keyspace_size)
         self.keyspace_size = keyspace_size
-        # One column per field, so an entry adds only ints (and the value) to
-        # lists that already exist: nothing the garbage collector tracks.
+        # One column for keys and one for values, so an entry adds only an
+        # int and the value to lists that already exist: nothing the garbage
+        # collector tracks. The timestamp is the position plus one.
         self._keys: list[Key] = []
         self._values: list[Value] = []
-        self._ts: list[Timestamp] = []
         # Per-key chain: _last[key] is the index of key's newest entry and
         # _prev[i] that of the entry before i with the same key (-1: none).
         self._last: dict[Key, int] = {}
@@ -70,7 +70,7 @@ class UpsertHistory:
 
     def entries(self) -> Iterator[tuple[Key, Value, Timestamp]]:
         """Iterate the published prefix."""
-        return islice(zip(self._keys, self._values, self._ts), self._published)
+        return islice(zip(self._keys, self._values, count(1)), self._published)
 
     def record_upsert(self, key: Key, value: Value, ts: Timestamp) -> None:
         """Append one upsert. Caller must hold the root lock.
@@ -79,8 +79,7 @@ class UpsertHistory:
         past the last logged timestamp; anything else means the clock
         discipline was broken and the history is corrupt.
         """
-        log_ts = self._ts
-        i = len(log_ts)
+        i = self._published
         if ts != i + 1:
             raise HistoryCorruptionError(
                 f"upsert timestamp {ts} follows {i}; "
@@ -92,14 +91,9 @@ class UpsertHistory:
         # length covers it.
         self._keys.append(key)
         self._values.append(value)
-        log_ts.append(ts)
         self._prev.append(self._last.get(key, -1))
         self._last[key] = i
         self._published = i + 1
-
-    def max_published_ts(self) -> Timestamp:
-        """Largest logged timestamp, 0 if the log is empty."""
-        return self._ts[self._published - 1] if self._published else 0
 
     def max_ts(self, key: Key, upto: Optional[int] = None) -> TimedValue:
         """Newest copy of key in the prefix of length `upto` (default: now).
@@ -108,7 +102,7 @@ class UpsertHistory:
         with, so the result is always defined.
         """
         i = self._newest(key, upto)
-        return INITIAL if i < 0 else TimedValue(self._values[i], self._ts[i])
+        return INITIAL if i < 0 else TimedValue(self._values[i], i + 1)
 
     def _newest(self, key: Key, upto: Optional[int]) -> int:
         """Index of key's newest entry in the prefix of length `upto`
@@ -129,7 +123,7 @@ class UpsertHistory:
         of the whole log. It walks the chains itself rather than call _newest
         per key: that call and its key check cost more than the whole-log
         walk on a history of a few thousand entries."""
-        n, values, ts, prev = self._published, self._values, self._ts, self._prev
+        n, values, prev = self._published, self._values, self._prev
         out: dict[Key, tuple[Value, Timestamp]] = {}
         # One published length bounds every key, and the chain heads are
         # copied first, so a concurrent append changes nothing here.
@@ -137,21 +131,16 @@ class UpsertHistory:
             while i >= n:
                 i = prev[i]
             if i >= 0:
-                out[k] = (values[i], ts[i])
+                out[k] = (values[i], i + 1)
         return out
 
     def contains(self, key: Key, value: Value, ts: Timestamp) -> bool:
         """Is (key, (value, ts)) in the history, counting implicit entries?"""
         if ts == 0:
             return value is TOMBSTONE and 0 <= key < self.keyspace_size
-        # Dense timestamps put the entry with timestamp t at index t-1.
+        # The entry with timestamp t is the one at index t-1.
         i = ts - 1
-        return (
-            0 <= i < self._published
-            and self._ts[i] == ts
-            and self._keys[i] == key
-            and self._values[i] == value
-        )
+        return 0 <= i < self._published and self._keys[i] == key and self._values[i] == value
 
     def check_search_recency(
         self, key: Key, value: Value, tp: Timestamp, snap: int
@@ -163,8 +152,8 @@ class UpsertHistory:
         really in the history now and is at least as new as the key's copy in
         the snapshot prefix.
         """
-        i = self._newest(key, snap)
-        t0 = INITIAL.ts if i < 0 else self._ts[i]
+        # No entry (i == -1) gives INITIAL's timestamp, 0.
+        t0 = self._newest(key, snap) + 1
         reason = None
         if not self.contains(key, value, tp):
             reason = "returned copy not present in history"
@@ -177,25 +166,17 @@ class UpsertHistory:
 
         init: every key has a defined newest copy. An unrecorded key's is
         the implicit tombstone by construction, so only recorded keys are
-        checked. unique: one value per timestamp, enforced as strictly
-        increasing log timestamps. clock: every logged timestamp is below
-        the clock.
+        checked. unique: one value per timestamp, which holds by
+        representation, as a timestamp is a position. clock: every logged
+        timestamp is below the clock, so the newest position must be below
+        it; the witness is the first position whose timestamp reaches it.
         """
         init_ok = all(self.max_ts(k) is not None for k in self._last)
-        unique_ok = True
-        clock_ok = True
-        witness = None
-        prev = 0
-        for i, t in enumerate(islice(self._ts, self._published)):
-            if t <= prev:
-                unique_ok = False
-                witness = witness or {"index": i, "ts": t, "prev_ts": prev}
-            prev = t
-            if t >= clock:
-                clock_ok = False
-                witness = witness or {"index": i, "ts": t, "clock": clock}
+        i = max(clock, 1) - 1
+        clock_ok = self._published <= i
+        witness = None if clock_ok else {"index": i, "ts": i + 1, "clock": clock}
         return HistoryPredicateReport(
-            init_ok=init_ok, unique_ok=unique_ok, clock_ok=clock_ok, witness=witness
+            init_ok=init_ok, unique_ok=True, clock_ok=clock_ok, witness=witness
         )
 
 
@@ -383,7 +364,7 @@ class Trace:
         h = UpsertHistory(self.keyspace_size)
         for e in sorted(self.upserts(), key=lambda e: e.ts):
             h.record_upsert(e.key, e.value, e.ts)
-        return h, h.max_published_ts() + 1
+        return h, len(h) + 1
 
 
 def event_from_json(obj: object) -> TraceEvent:

@@ -130,7 +130,7 @@ class MulticopyStructure:
         self._make_lock: Callable[[NodeId], threading.Lock] = lambda nid: threading.Lock()
         self._locks: dict[NodeId, threading.Lock] = {i: threading.Lock() for i in self._handles}
         self._succ_reach: dict[NodeId, dict[Key, TimedValue]] = derive_succ_reach(given)
-        self._clock = self.history.max_published_ts() + 1
+        self._clock = len(self.history) + 1
         self._move_stamps = count(1)  # next() is atomic: one stamp per move
         self._last_move = 0  # stamp of the last merge step that moved a record
         self._all_keys: Optional[frozenset[Key]] = None

@@ -10,7 +10,7 @@ import pytest
 
 import multicopy
 from multicopy import cli
-from multicopy.cli import SEED_ENV, main
+from multicopy.cli import main
 from support import UNRELIEVED_ROOT
 
 STRESS_SMALL = [
@@ -405,15 +405,3 @@ def test_bad_maintenance_returns_failure(capsys):
         assert capsys.readouterr().err == (
             f"error: maintenance must be on-fail or periodic:<ms>, got {spec!r}\n"
         )
-
-
-def test_seed_env_var_is_the_default(monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV, "99")
-    rc = main(
-        ["bench", "--threads", "1", "--ops-per-thread", "10", "--json"]
-    )
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 99
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["bench", "--threads", "1", "--ops-per-thread", "1"])

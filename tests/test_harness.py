@@ -87,6 +87,9 @@ def test_generate_ops_respects_the_mix():
 def test_config_validation():
     with pytest.raises(MulticopyError):
         small_config(mix=(50, 50, 5)).validate()
+    for mix in ((100,), (50, 50), (50, 25, 25, 0)):
+        with pytest.raises(MulticopyError, match="mix must be three percentages"):
+            small_config(mix=mix).validate()
     with pytest.raises(MulticopyError):
         small_config(structure="btree").validate()
     with pytest.raises(MulticopyError):
@@ -326,6 +329,10 @@ def test_run_stress_flags_a_search_that_holds_its_whole_path(monkeypatch):
     assert not report.ok
     assert report.lock_order_violations
     assert {v["reason"] for v in report.lock_order_violations} == {"more than two locks"}
+    # The JSON lists the first 20 and counts them all.
+    out = report.to_json()
+    assert out["lock_order_violation_count"] == len(report.lock_order_violations) > 20
+    assert out["lock_order_violations"] == report.lock_order_violations[:20]
 
 
 def test_run_stress_flags_a_lock_coupling_search(monkeypatch):
@@ -449,6 +456,30 @@ def test_a_failed_checkpoint_fails_the_run_and_leaves_no_thread(monkeypatch, mai
         run_stress(small_config(maintenance=maintenance, root_capacity=4))
     assert time.monotonic() - started < 1
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(dict(mix=(100,)), MulticopyError), (dict(ops_per_thread=10.5), TypeError)],
+)
+def test_a_stream_that_cannot_be_generated_fails_the_run_instead_of_hanging_it(
+    bad, error, capfd
+):
+    # The run goes in a daemon thread with a join timeout, so a run that
+    # hangs fails this test instead of stalling the rest.
+    raised = []
+
+    def run():
+        try:
+            run_stress(small_config(maintenance="on-fail", **bad))
+        except Exception as e:
+            raised.append(e)
+
+    t = _started(run)
+    t.join(5)
+    assert not t.is_alive(), "run_stress hung"
+    assert len(raised) == 1 and isinstance(raised[0], error), raised
+    assert "Exception in thread" not in capfd.readouterr().err
 
 
 def test_workers_stop_early_after_a_failed_checkpoint(monkeypatch):

@@ -61,6 +61,14 @@ def test_contains_counts_implicit_initial_entries():
     assert not h.contains(1, 7, 1)  # wrong key
     assert not h.contains(0, 7, 6)  # beyond the log
     assert not h.contains(0, 7, -2)  # before the log
+    # The newest entry's key and value, one timestamp on and far past it.
+    assert h.contains(1, 5, 5)
+    assert not h.contains(1, 5, 6)
+    assert not h.contains(1, 5, 10**9)
+    # Negative: index ts-1 would count from the end of the log, where the
+    # entries with timestamps 4 and 3 are (2, tombstone) and (0, 9).
+    assert not h.contains(2, TOMBSTONE, -1)
+    assert not h.contains(0, 9, -2)
     for k in range(4):
         assert h.contains(k, TOMBSTONE, 0)
     assert not h.contains(0, 7, 0)
@@ -74,7 +82,7 @@ def test_a_gapped_history_cannot_be_recorded():
         with pytest.raises(HistoryCorruptionError, match=f"upsert timestamp {t} follows 0"):
             h.record_upsert(k, v, t)
         assert not h.contains(k, v, t)
-    assert len(h) == 0 and h.max_published_ts() == 0
+    assert len(h) == 0
 
 
 def test_record_upsert_stops_at_the_first_gap():
@@ -145,7 +153,7 @@ def test_record_upsert_rejects_broken_timestamps():
         h.record_upsert(1, 2, 0)  # goes backwards
     with pytest.raises(HistoryCorruptionError, match="upsert timestamp 5 follows 1"):
         h.record_upsert(1, 2, 5)  # skips 2 to 4
-    assert h.max_published_ts() == 1
+    assert len(h) == 1
     with pytest.raises(MulticopyError):
         h.record_upsert(2, 1, 2)  # key outside the keyspace
 
@@ -196,12 +204,31 @@ def test_search_recency_accepts_current_and_rejects_stale():
     assert "not present" in missing.reason
 
 
-def test_history_predicates_against_clock():
-    h = small_history()
-    assert h.verify_predicates(clock=6).ok
-    rep = h.verify_predicates(clock=5)
-    assert not rep.ok and not rep.clock_ok and rep.unique_ok
-    assert rep.witness == {"index": 4, "ts": 5, "clock": 5}
+def history_of(n):
+    h = UpsertHistory(4)
+    for ts in range(1, n + 1):
+        h.record_upsert(ts % 4, ts, ts)
+    return h
+
+
+@pytest.mark.parametrize(
+    "entries, clock, witness",
+    [
+        (5, 6, None),
+        (5, 5, {"index": 4, "ts": 5, "clock": 5}),
+        # An empty log is below any clock, even 0.
+        (0, 0, None),
+        # The witness is the first entry whose timestamp reaches the clock.
+        (2, 0, {"index": 0, "ts": 1, "clock": 0}),
+        (2, 2, {"index": 1, "ts": 2, "clock": 2}),
+    ],
+)
+def test_history_predicates_against_clock(entries, clock, witness):
+    rep = history_of(entries).verify_predicates(clock=clock)
+    assert rep.init_ok and rep.unique_ok
+    assert rep.clock_ok == rep.ok == (witness is None)
+    assert rep.witness == witness
+    assert rep.to_json() == {"init": True, "unique": True, "clock": witness is None}
 
 
 def sample_trace():
