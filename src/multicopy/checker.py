@@ -69,6 +69,9 @@ class CheckResult:
 @dataclass
 class InvariantReport:
     entries: list[CheckResult] = field(default_factory=list)
+    # The reach maps the checks read, for check_inv2_monotone to reuse; None
+    # where the structure gate left them unbuilt. Not part of the report.
+    reach: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -382,7 +385,7 @@ def check_invariants(g: MulticopyGraph, h: UpsertHistory, clock: Timestamp) -> I
     """Every entry of CHECKS for one snapshot, in order. g, h and clock must
     be taken together at quiescence; nothing here locks anything."""
     v = _Views(g, h, clock)
-    report = InvariantReport()
+    report = InvariantReport(reach=vars(v).get("reach"))
     for check_id, label, check in CHECKS:
         try:
             ws = check(v)
@@ -397,14 +400,19 @@ def check_invariants(g: MulticopyGraph, h: UpsertHistory, clock: Timestamp) -> I
     return report
 
 
-def check_inv2_monotone(prev: MulticopyGraph, nxt: MulticopyGraph) -> CheckResult:
+def check_inv2_monotone(
+    prev: MulticopyGraph, nxt: MulticopyGraph, *, reach_next: Optional[dict] = None
+) -> CheckResult:
     """Across two snapshots of the same structure, the reach of every node
-    present in both may only move forward in time, per key.
+    present in both may only move forward in time, per key. reach_next, if
+    given, is reach_maps(nxt) as check_invariants built it (its report's
+    reach), so a checkpoint walks its snapshot once.
 
     Only keys that either reach map holds are compared: a key absent from
     both is INITIAL on both sides and cannot move backwards."""
     reach_prev = reach_maps(prev)
-    reach_next = reach_maps(nxt)
+    if reach_next is None:
+        reach_next = reach_maps(nxt)
     keyspace = max(prev.keyspace_size, nxt.keyspace_size)
     ws = []
     for n in sorted(prev.nodes & nxt.nodes):

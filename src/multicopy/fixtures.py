@@ -30,14 +30,14 @@ with the template's own merge step and snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .checker import check_inv2_monotone, check_invariants
 from .core import TOMBSTONE, Key, TimedValue, Timestamp, Value, val_projection
 from .graph import MulticopyGraph, reach_maps
 from .history import UpsertHistory
 from .lsm import LsmStructure
-from .nodes import NodeHandle
+from .nodes import NodeHandle, fresh_node_id
 
 K1, K2, K3, K4 = 0, 1, 2, 3
 VA, VB, VC, VD = 1, 2, 3, 4
@@ -76,6 +76,12 @@ class FixtureReport:
         return "\n".join(lines)
 
 
+def _node(capacity: Optional[int], records: dict[Key, TimedValue]) -> NodeHandle:
+    """A hand-built node with an id from the allocator, so that every node a
+    scenario grows later gets an id no scenario node holds."""
+    return NodeHandle(fresh_node_id(), capacity, records)
+
+
 def _structure(
     ks: int,
     handles: list[NodeHandle],
@@ -97,11 +103,10 @@ def _list_structure(root_capacity: int, n1_capacity: int) -> tuple[LsmStructure,
     """The shared four-node list: root holding (k2,d) over three tables,
     produced by timestamps 1..7 over keys k1..k3."""
     ks = 4
-    r = NodeHandle(100, root_capacity, {K2: TimedValue(VD, 7)})
-    n1 = NodeHandle(101, n1_capacity,
-                    {K1: TimedValue(TOMBSTONE, 6), K2: TimedValue(VB, 5)})
-    n2 = NodeHandle(102, 4, {K2: TimedValue(VA, 3), K3: TimedValue(VC, 4)})
-    n3 = NodeHandle(103, 4, {K1: TimedValue(VC, 2), K3: TimedValue(VB, 1)})
+    r = _node(root_capacity, {K2: TimedValue(VD, 7)})
+    n1 = _node(n1_capacity, {K1: TimedValue(TOMBSTONE, 6), K2: TimedValue(VB, 5)})
+    n2 = _node(4, {K2: TimedValue(VA, 3), K3: TimedValue(VC, 4)})
+    n3 = _node(4, {K1: TimedValue(VC, 2), K3: TimedValue(VB, 1)})
     handles = [r, n1, n2, n3]
     s = _structure(
         ks, handles,
@@ -205,9 +210,9 @@ def replay_unsound_merges() -> FixtureReport:
     report = FixtureReport("unsound-merges")
     # Diamond: root n routes k1 to p and k2 to m; p routes both to m.
     # Values equal timestamps.
-    n = NodeHandle(200, None, {K1: TimedValue(5, 5), K2: TimedValue(6, 6)})
-    p = NodeHandle(201, None, {K1: TimedValue(3, 3), K2: TimedValue(4, 4)})
-    m = NodeHandle(202, None, {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
+    n = _node(None, {K1: TimedValue(5, 5), K2: TimedValue(6, 6)})
+    p = _node(None, {K1: TimedValue(3, 3), K2: TimedValue(4, 4)})
+    m = _node(None, {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
     handles = [n, p, m]
     s = _structure(
         2, handles,
@@ -296,12 +301,12 @@ def replay_unsound_merges() -> FixtureReport:
 def replay_cascade_split() -> FixtureReport:
     report = FixtureReport("cascade-split")
     ks = 4
-    a = NodeHandle(300, 4, {
+    a = _node(4, {
         K1: TimedValue(7, 7), K2: TimedValue(5, 5),
         K3: TimedValue(6, 6), K4: TimedValue(8, 8),
     })
-    b = NodeHandle(301, 4, {K1: TimedValue(3, 3), K4: TimedValue(4, 4)})
-    c = NodeHandle(302, 2, {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
+    b = _node(4, {K1: TimedValue(3, 3), K4: TimedValue(4, 4)})
+    c = _node(2, {K1: TimedValue(2, 2), K2: TimedValue(1, 1)})
     s = _structure(
         ks, [a, b, c],
         [(a, b, range(ks)), (b, c, {K1, K2})],

@@ -19,6 +19,12 @@ trace and the final snapshot; writing them to files is left to the caller. An
 unchecked run does none of this; it only runs the ops, on plain node locks,
 and times them.
 
+The snapshot checks and the linearizer run with CPython's cyclic garbage
+collector paused (_collector_paused). They build no reference cycles, so
+reference counting frees all they allocate, while their many live tuples
+and dicts would otherwise cost a collector pass every few hundred
+allocations, each walking everything a check still holds.
+
 Nothing here trusts the structure under test: every verdict comes from the
 history, the snapshot checkers, or the trace, never from the structure's own
 bookkeeping.
@@ -27,10 +33,13 @@ bookkeeping.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import random
 import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -42,7 +51,7 @@ from .checker import (
     check_invariants,
     linearize,
 )
-from .core import TOMBSTONE, MulticopyError, check_keyspace
+from .core import TOMBSTONE, MulticopyError, check_keyspace, int_field
 from .df import DfStructure
 from .graph import MulticopyGraph, load_graph
 from .history import (
@@ -82,6 +91,9 @@ class WorkloadConfig:
     checkpoint_every: int = 2000
 
     def validate(self) -> None:
+        for name in ("keyspace_size", "threads", "ops_per_thread", "root_capacity",
+                     "growth_factor", "seed", "checkpoint_every"):
+            int_field(getattr(self, name), name)
         if len(self.mix) != 3 or sum(self.mix) != 100 or any(m < 0 for m in self.mix):
             raise MulticopyError(f"mix must be three percentages summing to 100, got {self.mix}")
         if self.structure not in ("lsm", "df"):
@@ -490,6 +502,19 @@ class StressReport:
         return "\n".join(lines)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then enable
+    it again if it was enabled before, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _build_structure(config: WorkloadConfig):
     if config.structure == "lsm":
         return LsmStructure.create(
@@ -596,8 +621,12 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
             gate.pause()
         try:
             g = structure.snapshot_graph()
-            inv = check_invariants(g, structure.history, structure.clock)
-            mono = None if prev_graph is None else check_inv2_monotone(prev_graph, g)
+            with _collector_paused():
+                inv = check_invariants(g, structure.history, structure.clock)
+                # inv2 reuses the reach maps just built; the record keeps none.
+                reach, inv.reach = inv.reach, None
+                mono = (None if prev_graph is None
+                        else check_inv2_monotone(prev_graph, g, reach_next=reach))
             report.checkpoints.append(
                 CheckpointRecord(ops_done=sum(done), invariants=inv, monotone=mono)
             )
@@ -640,9 +669,10 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
             trace.events.extend(evs)
         trace.events.sort(key=lambda e: e.inv)
         report.trace = trace
-        report.search_count = len(trace.searches())
-        report.upsert_count = len(trace.upserts())
-        report.linearization = linearize(trace)
+        kinds = Counter(map(type, trace.events))
+        report.search_count, report.upsert_count = kinds[SearchEvent], kinds[UpsertEvent]
+        with _collector_paused():
+            report.linearization = linearize(trace)
         report.history_predicates = structure.history.verify_predicates(structure.clock)
 
     # A checked run reuses the final checkpoint's copy: nothing has changed
@@ -677,8 +707,9 @@ def check_files(snapshot_path: str, trace_path: str) -> tuple[bool, dict]:
         out["ok"] = False
         out["error"] = f"trace does not form a valid history: {e}"
         return False, out
-    inv = check_invariants(g, h, clock)
-    lin = linearize(trace)
+    with _collector_paused():
+        inv = check_invariants(g, h, clock)
+        lin = linearize(trace)
     preds = h.verify_predicates(clock)
     out["invariants"] = inv.to_json()
     out["linearization"] = lin.to_json()

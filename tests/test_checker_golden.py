@@ -36,6 +36,7 @@ from multicopy.graph import (
     derive_succ_reach,
     flow_residuals,
     inset_map,
+    reach_maps,
     structural_issues,
     topological_order,
 )
@@ -210,9 +211,10 @@ def _inv2_next(prev: MulticopyGraph, rng: random.Random) -> MulticopyGraph:
     return nxt
 
 
-def build_case(i: int) -> dict:
+def build_case(i: int, inv2=check_inv2_monotone) -> dict:
     """Snapshot, history and clock of case i, the checker outputs taken on
-    them, and for inv2 pairs the monotonicity result both ways."""
+    them, and for inv2 pairs the monotonicity result both ways, as inv2
+    returns it."""
     rng = random.Random(7_000 + i)
     doctoring = DOCTORINGS[i % len(DOCTORINGS)]
     derived = doctoring != "succ_reach" or rng.random() < 0.6
@@ -247,8 +249,8 @@ def build_case(i: int) -> dict:
     if doctoring == "inv2_pair":
         nxt = _inv2_next(g, rng)
         out["inv2"] = [
-            check_inv2_monotone(g, nxt).to_json(),
-            check_inv2_monotone(nxt, g).to_json(),
+            inv2(g, nxt).to_json(),
+            inv2(nxt, g).to_json(),
         ]
         g = nxt
     out["report"] = check_invariants(g, _history(g.keyspace_size, entries), clock).to_json()
@@ -297,17 +299,55 @@ def _copies_history(g: MulticopyGraph) -> tuple[UpsertHistory, int]:
     return h, top + 1
 
 
+def test_inv2_with_handed_in_reach_maps_matches_graphs_alone():
+    # Each pair is checked both ways. The reach maps handed in are those the
+    # later side's check_invariants report carries, or, where a dangling
+    # edge left them unbuilt, reach_maps of that side.
+    def both_ways(prev, nxt):
+        alone = check_inv2_monotone(prev, nxt)
+        reach = check_invariants(nxt, UpsertHistory(nxt.keyspace_size), 1).reach
+        if reach is None:
+            reach = reach_maps(nxt)
+        else:
+            reported.append(reach == reach_maps(nxt))
+        assert check_inv2_monotone(prev, nxt, reach_next=reach).to_json() == alone.to_json()
+        passed.append(alone.passed)
+        return alone
+
+    reported: list[bool] = []
+    passed: list[bool] = []
+    expected = json.loads(DATA.read_text())["sha256"]
+    for i in range(DOCTORINGS.index("inv2_pair"), CASES, len(DOCTORINGS)):
+        assert digest(build_case(i, inv2=both_ways)) == expected[i]
+    assert len(passed) == 2 * CASES // len(DOCTORINGS)
+    assert True in passed and False in passed
+    assert len(reported) > len(passed) // 2 and all(reported)
+
+
+def _rebuild_finds_no_residual(g, kind, fl, p, n) -> bool:
+    """n's flow equals the output of its lone in-edge from p, by counts,
+    with that output built the way the flow equation states it."""
+    ks, got = g.successors(p)[n], fl.get(n, Counter())
+    if kind == "cir":
+        sr = g.node_succ_reach(p)
+        expect = Counter({(k, tv): 1 for k, tv in sr.items() if k in ks})
+    else:
+        expect = Counter({k: c for k, c in fl.get(p, Counter()).items() if k in ks})
+    return all(got.get(el, 0) == expect.get(el, 0) for el in set(expect) | set(got))
+
+
 def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
-    # Each whole-input test of the checker, and the whole-edge branch of the
-    # copy flow, is counted by outcome, and checked against the loop it
-    # stands in for, while the golden cases and the C4 DAGs run.
+    # Each whole-input test of the checker and of flow_residuals, and the
+    # whole-edge branch of the copy flow, is counted by outcome, and checked
+    # against the loop it stands in for, while the golden cases and the C4
+    # DAGs run.
     seen = {name: Counter() for name in (
         "_all_below", "_flow_within_view", "_held_and_recorded",
-        "_keys_within_flow", "whole_edge",
+        "_keys_within_flow", "_passes_whole_input", "whole_edge",
     )}
 
-    def spy(name, loop_finds_nothing):
-        real = getattr(checker, name)
+    def spy(name, loop_finds_nothing, owner=checker):
+        real = getattr(owner, name)
 
         def counted(*args):
             out = real(*args)
@@ -317,7 +357,7 @@ def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
                 assert loop_finds_nothing(*args), (name, args)
             return out
 
-        monkeypatch.setattr(checker, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     spy("_all_below", lambda h, clock: all(t < clock for _, _, t in h.entries()))
     spy("_flow_within_view", lambda fl, view: not [
@@ -325,6 +365,7 @@ def test_fast_paths_are_both_taken_and_bypassed(monkeypatch):
     ])
     spy("_held_and_recorded", lambda own, sr: True)
     spy("_keys_within_flow", lambda view, fl: all(fl.get(k, 0) > 0 for k in view))
+    spy("_passes_whole_input", _rebuild_finds_no_residual, owner=graph)
 
     edge_output = graph._edge_output
 

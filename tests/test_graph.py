@@ -4,9 +4,11 @@ from collections import Counter
 import pytest
 from support import inset_path_counts, naive_flow, random_dag
 
+from multicopy import graph
 from multicopy.core import (
     EdgesetDisjointnessError,
     StructuralError,
+    TOMBSTONE,
     TimedValue,
     route,
     routed_keys,
@@ -22,11 +24,13 @@ from multicopy.graph import (
     inset_map,
     load_graph,
     local_reach,
+    predecessors,
     reach_maps,
     save_graph,
     structural_issues,
     topological_order,
 )
+from multicopy.lsm import LsmStructure
 
 
 def diamond():
@@ -112,6 +116,52 @@ def test_flow_residuals_flag_tampering():
     cir = compute_flow(g, "cir")
     del cir[1][(0, TimedValue(11, 2))]
     assert 1 in flow_residuals(g, "cir", cir)
+
+
+def _list_snapshot() -> MulticopyGraph:
+    s = LsmStructure.create(keyspace_size=16, root_capacity=4)
+    for i in range(40):
+        s.upsert(i * 7 % 16, i)
+    return s.snapshot_graph()
+
+
+@pytest.mark.parametrize("kind", ["cir", "inset"])
+@pytest.mark.parametrize("doctoring", ["bump", "drop", "foreign"])
+def test_a_doctored_lone_predecessor_flow_leaves_the_residuals_of_a_rebuild(
+    monkeypatch, kind, doctoring
+):
+    # Every node of a list but the root has one in-edge, which passes its
+    # whole input, so flow_residuals skips its rebuild while the flow is
+    # intact. A doctored flow must still get the residuals the rebuild finds
+    # (there, and at the node below for the inset flow).
+    g = _list_snapshot()
+    preds = predecessors(g)
+    lone = sorted(n for n in g.nodes if n != g.root and len(preds[n]) == 1)
+    assert len(lone) >= 2
+    foreign = g.keyspace_size if kind == "inset" else (0, TimedValue(TOMBSTONE, 0))
+    doctored = 0
+    for n in lone:
+        fl = compute_flow(g, kind)
+        if not fl[n]:
+            continue
+        doctored += 1
+        el = min(fl[n], key=repr)
+        if doctoring == "bump":
+            fl[n][el] += 1
+            want = Counter({el: 1})
+        elif doctoring == "drop":
+            del fl[n][el]
+            want = Counter({el: -1})
+        else:
+            el = foreign
+            fl[n][el] += 1
+            want = Counter({el: 1})
+        got = flow_residuals(g, kind, fl)
+        assert got[n] == want
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_passes_whole_input", lambda *args: False)
+            assert got == flow_residuals(g, kind, fl)
+    assert doctored >= 2
 
 
 def test_compute_flow_rejects_unknown_kind():

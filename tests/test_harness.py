@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import re
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from multicopy import harness, lsm
 from multicopy.checker import CheckResult
 from multicopy.core import TOMBSTONE, MulticopyError, route
-from multicopy.graph import save_graph
+from multicopy.graph import reach_maps, save_graph
 from multicopy.harness import (
     PauseGate,
     WorkloadConfig,
@@ -105,6 +107,29 @@ def test_config_validation():
             small_config(maintenance=gone).validate()
     for ok in ("on-fail", "periodic:2.5"):
         small_config(maintenance=ok).validate()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("keyspace_size", 16.0),
+        ("threads", True),
+        ("ops_per_thread", 10.5),
+        ("root_capacity", "8"),
+        ("growth_factor", None),
+        ("seed", 7.0),
+        ("checkpoint_every", False),
+    ],
+)
+def test_a_non_int_field_fails_the_run_by_name_before_any_thread_starts(
+    monkeypatch, field, bad
+):
+    def no_thread(self):
+        raise AssertionError("a worker started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    with pytest.raises(MulticopyError, match=f"^{field} must be an int, got {bad!r}$"):
+        run_stress(small_config(**{field: bad}))
 
 
 def _started(target, *args):
@@ -272,7 +297,9 @@ def test_a_failed_monotonicity_check_fails_its_checkpoints(monkeypatch):
     monkeypatch.setattr(
         harness,
         "check_inv2_monotone",
-        lambda prev, nxt: CheckResult("inv2_reach_monotone", "", passed=False, witnesses=[witness]),
+        lambda prev, nxt, **_: CheckResult(
+            "inv2_reach_monotone", "", passed=False, witnesses=[witness]
+        ),
     )
     report = run_stress(small_config())
     assert not report.ok
@@ -460,7 +487,7 @@ def test_a_failed_checkpoint_fails_the_run_and_leaves_no_thread(monkeypatch, mai
 
 @pytest.mark.parametrize(
     "bad, error",
-    [(dict(mix=(100,)), MulticopyError), (dict(ops_per_thread=10.5), TypeError)],
+    [(dict(mix=(100,)), MulticopyError), (dict(ops_per_thread=10.5), MulticopyError)],
 )
 def test_a_stream_that_cannot_be_generated_fails_the_run_instead_of_hanging_it(
     bad, error, capfd
@@ -480,6 +507,61 @@ def test_a_stream_that_cannot_be_generated_fails_the_run_instead_of_hanging_it(
     assert not t.is_alive(), "run_stress hung"
     assert len(raised) == 1 and isinstance(raised[0], error), raised
     assert "Exception in thread" not in capfd.readouterr().err
+
+
+def test_inv2_with_handed_in_reach_maps_matches_graphs_alone_across_checkpoints(monkeypatch):
+    real, handed = harness.check_inv2_monotone, []
+
+    def both_ways(prev, nxt, *, reach_next=None):
+        out = real(prev, nxt, reach_next=reach_next)
+        assert reach_next == reach_maps(nxt)
+        assert out.to_json() == real(prev, nxt).to_json()
+        handed.append(reach_next is not None)
+        return out
+
+    monkeypatch.setattr(harness, "check_inv2_monotone", both_ways)
+    report = run_stress(small_config(checkpoint_every=20))
+    assert report.ok, report.format_text()
+    assert len(handed) == len(report.checkpoints) - 1 >= 5 and all(handed)
+    # No checkpoint record keeps its reach maps.
+    assert all(c.invariants.reach is None for c in report.checkpoints)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_checks_run_with_the_collector_paused_and_leave_it_as_they_found_it(
+    monkeypatch, tmp_path, enabled
+):
+    seen = []
+    for name in ("check_invariants", "check_inv2_monotone", "linearize"):
+        def spied(*args, real=getattr(harness, name), name=name, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spied)
+
+    def broken_check(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        report = run_stress(small_config())
+        assert report.ok and gc.isenabled() is enabled
+        calls = len(report.checkpoints)
+        trace_path, snap_path = str(tmp_path / "trace.jsonl"), str(tmp_path / "snapshot.json")
+        report.trace.dump(trace_path)
+        save_graph(report.snapshot, snap_path)
+        assert check_files(snap_path, trace_path)[0] and gc.isenabled() is enabled
+        assert sorted(Counter(n for n, _ in seen).items()) == [
+            ("check_inv2_monotone", calls - 1), ("check_invariants", calls + 1), ("linearize", 2)
+        ]
+        assert not any(on for _, on in seen)
+        monkeypatch.setattr(harness, "check_invariants", broken_check)
+        with pytest.raises(RuntimeError, match="check failed"):
+            run_stress(small_config())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_workers_stop_early_after_a_failed_checkpoint(monkeypatch):
