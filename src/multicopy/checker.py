@@ -21,11 +21,12 @@ reproduce every returned value. Failures carry the first offending event.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from itertools import chain, combinations, compress, count, islice, repeat
+from operator import eq, gt
 from typing import Optional
 
 from .core import INITIAL, TOMBSTONE, MulticopyError, Timestamp, encode_value
@@ -39,7 +40,7 @@ from .graph import (
     reach_maps,
     structural_issues,
 )
-from .history import SearchEvent, Trace, TraceEvent, UpsertEvent, UpsertHistory
+from .history import EventView, Trace, UpsertHistory
 
 WITNESS_CAP = 20
 
@@ -447,102 +448,108 @@ def check_inv2_monotone(
 
 @dataclass
 class LinearizationResult:
+    """linearize's verdict on a trace. The order it built is kept as
+    positions into the trace (see Trace), and order builds its events as
+    they are read; it is empty where linearize stopped before building one.
+    """
+
     ok: bool
-    order: list[TraceEvent] = field(default_factory=list)
+    trace: Trace = field(repr=False)
+    positions: array = field(default_factory=lambda: array("q"), repr=False)
     failure: Optional[dict] = None
 
+    @property
+    def order(self) -> EventView:
+        return EventView(self.trace, self.positions)
+
     def to_json(self) -> dict:
-        out = {"ok": self.ok, "events": len(self.order)}
+        out = {"ok": self.ok, "events": len(self.trace)}
         if self.failure is not None:
             out["failure"] = self.failure
         return out
 
 
 def linearize(trace: Trace) -> LinearizationResult:
-    """Build and validate a sequential order for the trace; see module doc."""
-    ups = sorted(trace.upserts(), key=lambda u: (u.ts, u.inv))
-    for a, b in zip(ups, ups[1:]):
-        if a.ts == b.ts:
-            return LinearizationResult(
-                ok=False,
-                failure={
-                    "kind": "duplicate_upsert_ts",
-                    "ts": a.ts,
-                    "events": [a.to_json(), b.to_json()],
-                },
-            )
-    if ups and ups[0].ts <= 0:
-        return LinearizationResult(
-            ok=False,
-            failure={"kind": "nonpositive_upsert_ts", "event": ups[0].to_json()},
-        )
-    ts_list = [u.ts for u in ups]
+    """Build and validate a sequential order for the trace; see module doc.
+    It reads the trace's columns and orders positions into them, so the only
+    events it builds are a failure's. Each step below frees its own copies
+    of the columns when it ends, so the largest one, the sort that builds
+    the order, sets what linearize holds at its peak; the result keeps the
+    order as an array."""
+    order, failure = _candidate_order(trace)
+    if failure is None:
+        failure = _real_time_failure(trace, order) or _replay_failure(trace, order)
+    return LinearizationResult(failure is None, trace, array("q", order), failure)
 
-    # (inv, gap, search): the gap is the number of upserts placed before it.
-    placed: list[tuple[int, int, SearchEvent]] = []
-    for s in trace.searches():
-        if s.tp <= s.t0:
-            anchor = s.snap
-        else:
-            anchor = s.tp
-            pos_probe = bisect_right(ts_list, s.tp)
-            if pos_probe == 0 or ts_list[pos_probe - 1] != s.tp:
-                return LinearizationResult(
-                    ok=False,
-                    failure={
-                        "kind": "unmatched_return_ts",
-                        "event": s.to_json(),
-                    },
-                )
-        placed.append((s.inv, bisect_right(ts_list, anchor), s))
 
-    # One stable sort by inv, then bucketing, leaves each gap's searches in
-    # invocation order.
-    placed.sort(key=itemgetter(0))
-    gaps: list[list[SearchEvent]] = [[] for _ in range(len(ups) + 1)]
-    for _, i, s in placed:
-        gaps[i].append(s)
-    order: list[TraceEvent] = []
-    for i, up in enumerate(ups):
-        order += gaps[i]
-        order.append(up)
-    order += gaps[-1]
+def _candidate_order(trace: Trace) -> tuple[list[int], Optional[dict]]:
+    """The candidate order as positions; empty, with the failure, where the
+    upserts' timestamps or a search's return leave none."""
+    searches, upserts = trace.search_table, trace.upsert_table
+    ns, nu, sc, uc = len(searches), len(upserts), searches.columns, upserts.columns
+    u_ts = uc["ts"]
+    # Upsert rows in (ts, inv) order: by inv, then stably by ts.
+    ups = sorted(sorted(range(nu), key=uc["inv"].__getitem__), key=u_ts.__getitem__)
+    ts_list = list(map(u_ts.__getitem__, ups))
+    dup = next(compress(count(1), map(eq, islice(ts_list, 1, None), ts_list)), None)
+    if dup is not None:
+        a, b = upserts.row(ups[dup - 1]), upserts.row(ups[dup])
+        return [], {"kind": "duplicate_upsert_ts", "ts": a.ts,
+                    "events": [a.to_json(), b.to_json()]}
+    if ts_list and ts_list[0] <= 0:
+        return [], {"kind": "nonpositive_upsert_ts", "event": upserts.row(ups[0]).to_json()}
 
-    # Validation pass one: the order must embed real-time precedence. If an
-    # operation responded before another was invoked, it must come first.
-    max_inv = None
-    max_inv_event = None
-    for e in order:
-        if max_inv is not None and e.resp < max_inv:
-            return LinearizationResult(
-                ok=False,
-                order=order,
-                failure={
-                    "kind": "real_time_order",
-                    "event": e.to_json(),
-                    "must_follow": max_inv_event.to_json(),
-                },
-            )
-        if max_inv is None or e.inv > max_inv:
-            max_inv = e.inv
-            max_inv_event = e
+    # Each event's place: for a search its gap, the number of upserts placed
+    # before it, and i + 1 for the upsert placed i-th. Every search first
+    # takes the gap its snapshot had seen; one that was overtaken by a newer
+    # upsert then moves right after the upsert whose copy it returned.
+    place = array("q", map(bisect_right, repeat(ts_list), sc["snap"]))
+    s_tp = sc["tp"]
+    unmatched = []
+    for j in compress(count(), map(gt, s_tp, sc["t0"])):
+        tp = s_tp[j]
+        place[j] = i = bisect_right(ts_list, tp)
+        if i == 0 or ts_list[i - 1] != tp:
+            unmatched.append(j)
+    if unmatched:
+        first = min(unmatched, key=sc["inv"].__getitem__)
+        return [], {"kind": "unmatched_return_ts", "event": searches.row(first).to_json()}
+    up_place = array("q", bytes(8 * nu))
+    for i, r in enumerate(ups, 1):
+        up_place[r] = i
+    place += up_place
+    # One stable sort of the upserts, then the searches in inv order: where
+    # an upsert and the searches of the gap after it tie, the upsert leads.
+    by_inv = sorted(range(ns), key=sc["inv"].__getitem__)
+    return sorted(chain(range(ns, ns + nu), by_inv), key=place.__getitem__), None
 
-    # Validation pass two: the order must make sequential sense for a map.
+
+def _real_time_failure(trace: Trace, order: list[int]) -> Optional[dict]:
+    """Validation pass one: the order must embed real-time precedence. If an
+    operation responded before another was invoked, it must come first."""
+    inv, resp = list(trace.column("inv")), list(trace.column("resp"))
+    spans = zip(map(inv.__getitem__, order), map(resp.__getitem__, order))
+    max_inv, _ = next(spans, (0, 0))
+    for k, (i, r) in enumerate(spans, 1):
+        if r < max_inv:
+            ahead = next(p for p in order if inv[p] == max_inv)
+            return {"kind": "real_time_order", "event": trace.event(order[k]).to_json(),
+                    "must_follow": trace.event(ahead).to_json()}
+        if i > max_inv:
+            max_inv = i
+    return None
+
+
+def _replay_failure(trace: Trace, order: list[int]) -> Optional[dict]:
+    """Validation pass two: the order must make sequential sense for a map."""
+    ns = len(trace.search_table)
+    keys = trace.column("key")
+    values = trace.search_table.values + trace.upsert_table.values
     state: dict = {}
-    for e in order:
-        if isinstance(e, UpsertEvent):
-            state[e.key] = e.value
-        else:
-            expected = state.get(e.key, TOMBSTONE)
-            if expected != e.value:
-                return LinearizationResult(
-                    ok=False,
-                    order=order,
-                    failure={
-                        "kind": "value_mismatch",
-                        "event": e.to_json(),
-                        "expected": encode_value(expected),
-                    },
-                )
-
-    return LinearizationResult(ok=True, order=order)
+    for p in order:
+        if p >= ns:
+            state[keys[p]] = values[p]
+        elif (expected := state.get(keys[p], TOMBSTONE)) != values[p]:
+            return {"kind": "value_mismatch", "event": trace.event(p).to_json(),
+                    "expected": encode_value(expected)}
+    return None

@@ -297,14 +297,27 @@ def inset_map(g: MulticopyGraph) -> dict[NodeId, frozenset[Key]]:
     """Inset of every node: the keys whose search may arrive there, i.e.
     keys carried by some root-to-n path through every edgeset on the way.
     Computed by set propagation; the inset flow's support must match this,
-    which the checker verifies."""
-    order = topological_order(g)
-    ins: dict[NodeId, set[Key]] = {v: set() for v in g.nodes}
-    ins[g.root] = set(range(g.keyspace_size))
-    for v in order:
-        for m, ks in g.successors(v).items():
-            ins[m] |= ins[v] & ks
-    return {v: frozenset(s) for v, s in ins.items()}
+    which the checker verifies.
+
+    A node other than the root whose only in-edge comes from p, where that
+    edge's keys cover p's whole inset (every node of a list but the root),
+    gets p's frozenset itself, so a list holds one keyspace-sized inset in
+    all. This is the set-side twin of _passes_whole_input; the inset flow
+    builds its own multisets, so the two formulations stay independent."""
+    preds = predecessors(g)
+    ins: dict[NodeId, frozenset[Key]] = {}
+    for v in topological_order(g):
+        ps = preds[v]
+        if v != g.root and len(ps) == 1:
+            p = ps[0]
+            ks, above = g.edgesets[p][v], ins[p]
+            ins[v] = above if ks.issuperset(above) else above & ks
+            continue
+        acc = set(range(g.keyspace_size)) if v == g.root else set()
+        for p in ps:
+            acc |= ins[p] & g.edgesets[p][v]
+        ins[v] = frozenset(acc)
+    return {v: ins[v] for v in g.nodes}
 
 
 def derive_succ_reach(g: MulticopyGraph) -> dict[NodeId, dict[Key, TimedValue]]:

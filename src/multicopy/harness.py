@@ -19,6 +19,12 @@ trace and the final snapshot; writing them to files is left to the caller. An
 unchecked run does none of this; it only runs the ops, on plain node locks,
 and times them.
 
+Each worker records its ops into a search table and an upsert table of its
+own (history.EventTable): one bound append per field into array('q')
+columns and a value list, so an op makes no event object, no GC-tracked
+object and no boxed int that outlives it. Trace.from_workers joins the
+tables once the workers have ended; events are built only when read.
+
 The snapshot checks and the linearizer run with CPython's cyclic garbage
 collector paused (_collector_paused). They build no reference cycles, so
 reference counting frees all they allocate, while their many live tuples
@@ -38,7 +44,6 @@ import itertools
 import random
 import threading
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -55,6 +60,7 @@ from .core import TOMBSTONE, MulticopyError, check_keyspace, int_field
 from .df import DfStructure
 from .graph import MulticopyGraph, load_graph
 from .history import (
+    EventTable,
     HistoryCorruptionError,
     HistoryPredicateReport,
     SearchEvent,
@@ -219,11 +225,16 @@ class PauseGate:
 
     def wait_if_paused(self) -> bool:
         """Park while a pause is pending; False once the gate has stopped,
-        which tells a worker to end its loop."""
-        with self._cond:
-            if self._pausing:
-                self._park(lambda: True)
-            return not self._stopped
+        which tells a worker to end its loop.
+
+        The lock is taken only when a pause is pending. A pause requested
+        just after the unlocked read is seen at the next call, one op later,
+        and pause() waits until every participant has parked."""
+        if self._pausing:
+            with self._cond:
+                if self._pausing:
+                    self._park(lambda: True)
+        return not self._stopped
 
     def pause(self) -> None:
         with self._cond:
@@ -558,7 +569,7 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
 
     seq = itertools.count()
     done = [0] * config.threads
-    events_per_thread: list[list] = [[] for _ in range(config.threads)]
+    tables = [(EventTable(SearchEvent), EventTable(UpsertEvent)) for _ in range(config.threads)]
     violations_per_thread: list[list] = [[] for _ in range(config.threads)]
     thread_errors: list[Exception] = []
     # A checkpoint is requested by the worker whose op completes a mark;
@@ -568,7 +579,9 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
     completed = itertools.count(1)
 
     def worker(tid: int) -> None:
-        events = events_per_thread[tid]
+        searches, upserts = tables[tid]
+        s_thread, s_key, s_value, s_t0, s_tp, s_snap, s_inv, s_resp = searches.appenders()
+        u_thread, u_key, u_value, u_ts, u_inv, u_resp = upserts.appenders()
         violations = violations_per_thread[tid]
         try:
             for i, op in enumerate(generate_ops(config, tid)):
@@ -585,11 +598,14 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
                         )
                         if rec.reason is not None:
                             violations.append(rec.to_dict())
-                        # Positional: an event is made per op, and keywords
-                        # cost more than the rest of the construction.
-                        events.append(SearchEvent(
-                            tid, key, probe.value, rec.t0, probe.ts, probe.snap, inv, resp
-                        ))
+                        s_thread(tid)
+                        s_key(key)
+                        s_value(probe.value)
+                        s_t0(rec.t0)
+                        s_tp(probe.ts)
+                        s_snap(probe.snap)
+                        s_inv(inv)
+                        s_resp(resp)
                 else:
                     key = op[1]
                     value = TOMBSTONE if op[0] == "delete" else op[2]
@@ -597,7 +613,12 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
                     ts = structure.upsert_timed(key, value)
                     resp = next(seq)
                     if checked:
-                        events.append(UpsertEvent(tid, key, value, ts, inv, resp))
+                        u_thread(tid)
+                        u_key(key)
+                        u_value(value)
+                        u_ts(ts)
+                        u_inv(inv)
+                        u_resp(resp)
                 done[tid] = i + 1
                 if step:
                     n = next(completed)
@@ -664,13 +685,9 @@ def run_stress(config: WorkloadConfig, *, checked: bool = True) -> StressReport:
         take_checkpoint(quiesce=False)
         for v in violations_per_thread:
             report.recency_violations.extend(v)
-        trace = Trace(keyspace_size=config.keyspace_size)
-        for evs in events_per_thread:
-            trace.events.extend(evs)
-        trace.events.sort(key=lambda e: e.inv)
+        trace = Trace.from_workers(config.keyspace_size, tables)
         report.trace = trace
-        kinds = Counter(map(type, trace.events))
-        report.search_count, report.upsert_count = kinds[SearchEvent], kinds[UpsertEvent]
+        report.search_count, report.upsert_count = len(trace.search_table), len(trace.upsert_table)
         with _collector_paused():
             report.linearization = linearize(trace)
         report.history_predicates = structure.history.verify_predicates(structure.clock)

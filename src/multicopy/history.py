@@ -11,15 +11,21 @@ returned copy is no older than the key's copy at invocation time".
 
 Traces are separate from the history: they record operation invocations and
 responses (with global sequence numbers) for offline linearizability
-checking, serialized one JSON object per line.
+checking, serialized one JSON object per line. A trace is stored the way the
+log is, as columns: a search table and an upsert table, an array('q') for
+each int field and one list for the values. Event objects are built only
+when a row is read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterator, Optional, Union
+from operator import eq
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     INITIAL,
@@ -107,7 +113,8 @@ class UpsertHistory:
     def _newest(self, key: Key, upto: Optional[int]) -> int:
         """Index of key's newest entry in the prefix of length `upto`
         (default: now), -1 if there is none."""
-        check_key(key, self.keyspace_size)
+        if not (type(key) is int and 0 <= key < self.keyspace_size):
+            check_key(key, self.keyspace_size)
         n = self._published if upto is None else min(upto, self._published)
         i = self._last.get(key, -1)
         prev = self._prev
@@ -222,8 +229,8 @@ class HistoryPredicateReport:
 
 
 # Trace events are not frozen, because a frozen dataclass pays for one
-# object.__setattr__ call per field on every construction, and the stress
-# harness makes one event per operation; nothing changes an event once made.
+# object.__setattr__ call per field on every construction, and reading a
+# trace builds one event per row; nothing changes an event once made.
 
 
 @dataclass(slots=True)
@@ -283,40 +290,139 @@ class UpsertEvent:
 
 TraceEvent = Union[SearchEvent, UpsertEvent]
 
+# The int fields of each event type in its field order; the value follows key.
+_INT_FIELDS = {
+    SearchEvent: ("thread", "key", "t0", "tp", "snap", "inv", "resp"),
+    UpsertEvent: ("thread", "key", "ts", "inv", "resp"),
+}
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
-@dataclass
+
+class EventTable:
+    """The events of one type as columns, the way UpsertHistory keeps its
+    log: an array('q') for each int field and one list for the values. A row
+    adds unboxed ints to arrays and a reference to a list that exists
+    already, so recording an op creates no object the garbage collector
+    tracks and keeps no boxed int. Rows keep the order they were added in;
+    an event object is built only when a row is read."""
+
+    __slots__ = ("kind", "columns", "values", "_fields")
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
+        self.columns: dict[str, array] = {f: array("q") for f in _INT_FIELDS[kind]}
+        self.values: list[Value] = []
+        # The columns and the values in the event type's field order. They
+        # only ever grow in place, so this tuple stays theirs.
+        thread, key, *rest = self.columns.values()
+        self._fields = (thread, key, self.values, *rest)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def row(self, i: int) -> TraceEvent:
+        return self.kind(*[c[i] for c in self._fields])
+
+    def append(self, event: TraceEvent) -> None:
+        """Add one event as a row. An int field that does not fit in 64 bits
+        raises MulticopyError, and the table is left as it was."""
+        ints = [getattr(event, f) for f in self.columns]
+        for f, v in zip(self.columns, ints):
+            if not _INT64_MIN <= v <= _INT64_MAX:
+                raise MulticopyError(f"{f} {v} does not fit in 64 bits")
+        for c, v in zip(self.columns.values(), ints):
+            c.append(v)
+        self.values.append(event.value)
+
+    def appenders(self) -> tuple:
+        """Bound appends for every field, in the event type's field order. A
+        worker that calls each once per op records a row at the cost of
+        those appends alone."""
+        return tuple(c.append for c in self._fields)
+
+    def extend(self, other: "EventTable") -> None:
+        for mine, theirs in zip(self._fields, other._fields):
+            mine.extend(theirs)
+
+
 class Trace:
     """Real-time record of a run: all completed operations, any order.
 
-    Sequence numbers are globally unique; sorting by inv gives invocation
-    order. Serialized as JSON lines so traces stream and diff cleanly.
+    Stored as a search table and an upsert table (EventTable). A position
+    names one event: positions below the number of searches are search
+    rows, the ones after them upsert rows, in table order. Sequence numbers
+    are globally unique; events lists every event in inv order, each built
+    as it is read. Serialized as JSON lines so traces stream and diff
+    cleanly.
     """
 
-    keyspace_size: int
-    events: list[TraceEvent] = field(default_factory=list)
+    def __init__(self, keyspace_size: int, events: Iterable[TraceEvent] = ()):
+        self.keyspace_size = keyspace_size
+        self.search_table = EventTable(SearchEvent)
+        self.upsert_table = EventTable(UpsertEvent)
+        for e in events:
+            self.add(e)
+
+    @classmethod
+    def from_workers(cls, keyspace_size: int,
+                     tables: list[tuple[EventTable, EventTable]]) -> "Trace":
+        """The trace of a run whose workers each recorded a search table
+        and an upsert table. The first worker's tables become the trace's,
+        and the others' rows are appended to them."""
+        trace = cls(keyspace_size)
+        if tables:
+            trace.search_table, trace.upsert_table = tables[0]
+            for searches, upserts in tables[1:]:
+                trace.search_table.extend(searches)
+                trace.upsert_table.extend(upserts)
+        return trace
+
+    def add(self, event: TraceEvent) -> None:
+        """Append one event as a row of its type's table."""
+        (self.search_table if isinstance(event, SearchEvent) else self.upsert_table).append(event)
+
+    def __len__(self) -> int:
+        return len(self.search_table) + len(self.upsert_table)
+
+    def event(self, p: int) -> TraceEvent:
+        """The event at position p, built now."""
+        ns = len(self.search_table)
+        return self.search_table.row(p) if p < ns else self.upsert_table.row(p - ns)
+
+    def column(self, name: str) -> array:
+        """One int field of every event, by position."""
+        return self.search_table.columns[name] + self.upsert_table.columns[name]
+
+    def inv_order(self) -> array:
+        """Every position, in inv order."""
+        inv = self.column("inv")
+        return array("q", sorted(range(len(inv)), key=inv.__getitem__))
+
+    @property
+    def events(self) -> "EventView":
+        return EventView(self)
 
     def searches(self) -> list[SearchEvent]:
-        return [e for e in self.events if isinstance(e, SearchEvent)]
+        return list(map(self.search_table.row, range(len(self.search_table))))
 
     def upserts(self) -> list[UpsertEvent]:
-        return [e for e in self.events if isinstance(e, UpsertEvent)]
+        return list(map(self.upsert_table.row, range(len(self.upsert_table))))
 
     def dump(self, path: str) -> None:
         with open(path, "w") as f:
             f.write(json.dumps({"keyspace_size": self.keyspace_size}) + "\n")
-            for e in sorted(self.events, key=lambda e: e.inv):
+            for e in self.events:
                 f.write(json.dumps(e.to_json()) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Trace":
         """Read a trace written by dump: a {"keyspace_size": N} header as the
         first non-blank line, then one event a line, each key inside the
-        header's keyspace, each resp after its inv, and no sequence number
-        used twice. A malformed or missing line raises MulticopyError naming
-        the line."""
-        events: list[TraceEvent] = []
+        header's keyspace, each int inside 64 bits, each resp after its inv,
+        and no sequence number used twice. A malformed or missing line raises
+        MulticopyError naming the line."""
+        trace = None
         seen: set[int] = set()
-        keyspace_size = None
         with open(path) as f:
             for n, line in enumerate(f, 1):
                 line = line.strip()
@@ -328,16 +434,16 @@ class Trace:
                     raise MulticopyError(f"malformed trace: not JSON ({e}) at line {n}") from None
                 try:
                     header = isinstance(obj, dict) and "keyspace_size" in obj and "op" not in obj
-                    if keyspace_size is None:
+                    if trace is None:
                         if not header:
                             raise MulticopyError("the first line is not a keyspace header")
-                        keyspace_size = obj["keyspace_size"]
-                        check_keyspace(keyspace_size)
+                        check_keyspace(obj["keyspace_size"])
+                        trace = cls(obj["keyspace_size"])
                     elif header:
                         raise MulticopyError("keyspace header is not the first line")
                     else:
                         event = event_from_json(obj)
-                        check_key(event.key, keyspace_size)
+                        check_key(event.key, trace.keyspace_size)
                         if event.resp <= event.inv:
                             raise MulticopyError(
                                 f"resp {event.resp} is not after inv {event.inv}"
@@ -346,12 +452,12 @@ class Trace:
                             if s in seen:
                                 raise MulticopyError(f"sequence number {s} is used twice")
                             seen.add(s)
-                        events.append(event)
+                        trace.add(event)
                 except MulticopyError as e:
                     raise MulticopyError(f"malformed trace: {e} at line {n}") from None
-        if keyspace_size is None:
+        if trace is None:
             raise MulticopyError("malformed trace: no keyspace header")
-        return cls(keyspace_size=keyspace_size, events=events)
+        return trace
 
     def rebuild_history(self) -> tuple[UpsertHistory, Timestamp]:
         """Reconstruct the upsert log (and clock) this trace implies.
@@ -362,9 +468,49 @@ class Trace:
         which is exactly what a tampered trace deserves.
         """
         h = UpsertHistory(self.keyspace_size)
-        for e in sorted(self.upserts(), key=lambda e: e.ts):
-            h.record_upsert(e.key, e.value, e.ts)
+        ups = self.upsert_table
+        keys, ts, values = ups.columns["key"], ups.columns["ts"], ups.values
+        for i in sorted(range(len(ups)), key=ts.__getitem__):
+            h.record_upsert(keys[i], values[i], ts[i])
         return h, len(h) + 1
+
+
+class EventView(Sequence):
+    """The events of a trace at the given positions, each built as it is
+    read; without positions, every event in inv order, sorted when first
+    read. It equals any sequence of the same events in the same order."""
+
+    __slots__ = ("_trace", "_positions")
+
+    def __init__(self, trace: Trace, positions: Optional[array] = None):
+        self._trace = trace
+        self._positions = positions
+
+    def _order(self) -> array:
+        if self._positions is None:
+            self._positions = self._trace.inv_order()
+        return self._positions
+
+    def __len__(self) -> int:
+        return len(self._trace) if self._positions is None else len(self._positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._trace.event, self._order()[i]))
+        return self._trace.event(self._order()[i])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self._trace.event, self._order())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EventView({list(self)!r})"
 
 
 def event_from_json(obj: object) -> TraceEvent:
@@ -373,12 +519,12 @@ def event_from_json(obj: object) -> TraceEvent:
         raise MulticopyError("expected a JSON object")
     try:
         if obj["op"] == "search":
-            cls, fields = SearchEvent, ("thread", "key", "t0", "tp", "snap", "inv", "resp")
+            cls = SearchEvent
         elif obj["op"] == "upsert":
-            cls, fields = UpsertEvent, ("thread", "key", "ts", "inv", "resp")
+            cls = UpsertEvent
         else:
             raise MulticopyError(f"unknown op {obj['op']!r}")
-        ints = {f: int_field(obj[f], f) for f in fields}
+        ints = {f: int_field(obj[f], f) for f in _INT_FIELDS[cls]}
         return cls(value=decode_value(obj["value"]), **ints)
     except KeyError as e:
         raise MulticopyError(f"missing field {e.args[0]!r}") from None

@@ -202,14 +202,16 @@ def _inject_swapped_timestamps(trace: Trace) -> Trace:
     for ups in by_thread.values():
         for a, b in zip(ups, ups[1:]):
             if a.resp < b.inv and a.ts != b.ts:
+                # Events are built as a trace is read, so they are told
+                # apart by value: no two events share a sequence number.
                 events = []
                 for e in trace.events:
-                    if e is a:
+                    if e == a:
                         events.append(
                             type(a)(thread=a.thread, key=a.key, value=a.value,
                                     ts=b.ts, inv=a.inv, resp=a.resp)
                         )
-                    elif e is b:
+                    elif e == b:
                         events.append(
                             type(b)(thread=b.thread, key=b.key, value=b.value,
                                     ts=a.ts, inv=b.inv, resp=b.resp)

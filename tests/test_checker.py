@@ -434,3 +434,46 @@ def test_linearize_accepts_real_sequential_runs():
             )
     res = linearize(Trace(keyspace_size=16, events=events))
     assert res.ok, res.failure
+
+
+@pytest.mark.parametrize(
+    "events, kind",
+    [
+        ([U(0, 5, ts=1, inv=0, resp=1), S(0, 5, t0=1, tp=1, snap=1, inv=2, resp=3)], None),
+        ([U(0, 5, ts=1, inv=0, resp=1), S(0, 7, t0=0, tp=9, snap=1, inv=2, resp=3)],
+         "unmatched_return_ts"),
+        ([U(0, 5, ts=1, inv=0, resp=1), U(1, 6, ts=1, inv=2, resp=3)], "duplicate_upsert_ts"),
+        ([U(0, 5, ts=0, inv=0, resp=1), U(1, 6, ts=1, inv=2, resp=3)], "nonpositive_upsert_ts"),
+        ([U(0, 5, ts=2, inv=0, resp=1), U(1, 6, ts=1, inv=2, resp=3)], "real_time_order"),
+        ([U(0, 5, ts=1, inv=0, resp=1), S(0, 6, t0=1, tp=1, snap=1, inv=2, resp=3)],
+         "value_mismatch"),
+    ],
+)
+def test_linearize_reports_the_trace_event_count_for_every_verdict(events, kind):
+    out = linearize(Trace(keyspace_size=2, events=events)).to_json()
+    assert out["events"] == 2
+    assert out["ok"] is (kind is None)
+    assert out.get("failure", {}).get("kind") == kind
+
+
+def test_unmatched_return_names_the_first_search_by_invocation():
+    late = S(0, 7, t0=0, tp=9, snap=0, inv=4, resp=5)
+    early = S(0, 8, t0=0, tp=8, snap=0, inv=0, resp=1)
+    later = S(0, 6, t0=0, tp=7, snap=0, inv=6, resp=7)
+    res = linearize(Trace(keyspace_size=1, events=[late, early, later]))
+    assert res.failure == {"kind": "unmatched_return_ts", "event": early.to_json()}
+    assert res.order == []
+
+
+@pytest.mark.parametrize("snap", [2, 3, 7])
+def test_linearize_places_searches_by_timestamp_when_timestamps_have_gaps(snap):
+    # Timestamps 2 and 5, and no upsert took 1, 3 or 4. A search whose
+    # snapshot reached ts 2 but not ts 5 sits between the two; one whose
+    # snapshot lies past both follows both.
+    u2 = U(0, 5, ts=2, inv=0, resp=1)
+    u5 = U(0, 9, ts=5, inv=2, resp=7)
+    value, t = (5, 2) if snap < 5 else (9, 5)
+    s = S(0, value, t0=t, tp=t, snap=snap, inv=4, resp=6)
+    res = linearize(Trace(keyspace_size=1, events=[u5, s, u2]))
+    assert res.ok, res.failure
+    assert list(res.order) == ([u2, s, u5] if snap < 5 else [u2, u5, s])

@@ -91,6 +91,28 @@ def test_insets_on_diamond():
     assert routed_keys(g.successors(3)) == frozenset()
 
 
+def test_insets_of_a_list_are_one_shared_frozenset():
+    s = LsmStructure.create(keyspace_size=64, root_capacity=4)
+    for i in range(200):
+        s.upsert(i * 7 % 64, i)
+    g = s.snapshot_graph()
+    ins = inset_map(g)
+    assert len(g.nodes) >= 3
+    assert {id(ins[n]) for n in g.nodes} == {id(ins[g.root])}
+    assert ins[g.root] == frozenset(range(64))
+    # In the diamond every edge drops keys of its source's inset, and node 3
+    # has two in-edges, so each node gets a set of its own.
+    d = diamond()
+    ins = inset_map(d)
+    assert len({id(s) for s in ins.values()}) == 4
+    # Once node 3's only in-edge comes from node 1 and names node 1's whole
+    # inset (and a key past it), node 3 shares node 1's set.
+    d.edgesets[1][3] = frozenset({0, 1, 3})
+    del d.edgesets[2]
+    ins = inset_map(d)
+    assert ins[3] is ins[1] and ins[3] == frozenset({0, 1})
+
+
 def test_flows_on_diamond_match_hand_computation():
     g = diamond()
     cir = compute_flow(g, "cir")

@@ -242,6 +242,8 @@ def test_stress_run_reports_clean_and_complete():
     total = cfg.threads * cfg.ops_per_thread
     assert report.total_ops == total
     assert len(report.trace.events) == total
+    threads = [e.thread for e in report.trace.events]
+    assert sorted(threads) == sorted(list(range(cfg.threads)) * cfg.ops_per_thread)
     assert report.search_count + report.upsert_count == total
     assert report.recency_violations == []
     assert report.lock_order_violations == []

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 
@@ -13,7 +14,9 @@ from multicopy.core import (
     MulticopyError,
     TimedValue,
 )
+from multicopy.harness import WorkloadConfig, run_stress
 from multicopy.history import (
+    EventTable,
     SearchEvent,
     Trace,
     UpsertEvent,
@@ -276,8 +279,9 @@ def test_trace_wire_format_is_stable(tmp_path):
 
 
 def test_rebuild_history_replays_upserts_in_ts_order():
-    t = sample_trace()
-    random.Random(7).shuffle(t.events)
+    events = list(sample_trace().events)
+    random.Random(7).shuffle(events)
+    t = Trace(keyspace_size=3, events=events)
     h, clock = t.rebuild_history()
     assert clock == 3
     assert list(h.entries()) == [(1, 4, 1), (1, TOMBSTONE, 2)]
@@ -285,8 +289,8 @@ def test_rebuild_history_replays_upserts_in_ts_order():
 
 
 def test_rebuild_history_rejects_duplicate_timestamps():
-    t = sample_trace()
-    t.events.append(UpsertEvent(thread=2, key=0, value=9, ts=2, inv=8, resp=9))
+    dup = UpsertEvent(thread=2, key=0, value=9, ts=2, inv=8, resp=9)
+    t = Trace(keyspace_size=3, events=[*sample_trace().events, dup])
     with pytest.raises(HistoryCorruptionError):
         t.rebuild_history()
 
@@ -294,3 +298,81 @@ def test_rebuild_history_rejects_duplicate_timestamps():
 def test_empty_trace_rebuilds_to_empty_history():
     h, clock = Trace(keyspace_size=2).rebuild_history()
     assert len(h) == 0 and clock == 1
+
+
+def test_recording_ops_into_a_trace_adds_no_gc_tracked_objects():
+    # The appends a stress worker records each op with, for 5,000 ops.
+    searches, upserts = EventTable(SearchEvent), EventTable(UpsertEvent)
+    s_thread, s_key, s_value, s_t0, s_tp, s_snap, s_inv, s_resp = searches.appenders()
+    u_thread, u_key, u_value, u_ts, u_inv, u_resp = upserts.appenders()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i in range(2500):
+            u_thread(0)
+            u_key(i)
+            u_value(i + 1000)
+            u_ts(i + 1)
+            u_inv(4 * i)
+            u_resp(4 * i + 1)
+            s_thread(0)
+            s_key(i)
+            s_value(i + 1000)
+            s_t0(i + 1)
+            s_tp(i + 1)
+            s_snap(i + 1)
+            s_inv(4 * i + 2)
+            s_resp(4 * i + 3)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert added == 0
+    t = Trace.from_workers(10_000, [(searches, upserts)])
+    assert len(t) == len(t.events) == 5000
+    assert t.events[-1] == SearchEvent(0, 2499, 3499, 2500, 2500, 2500, 9998, 9999)
+    assert t.events[-2] == UpsertEvent(0, 2499, 3499, 2500, 9996, 9997)
+
+
+def test_from_workers_joins_the_rows_of_every_worker():
+    tables = [(EventTable(SearchEvent), EventTable(UpsertEvent)) for _ in range(2)]
+    for tid, (_, upserts) in enumerate(tables):
+        for col, v in zip(upserts.appenders(), (tid, tid, 5, tid + 1, 2 * tid, 2 * tid + 1)):
+            col(v)
+    t = Trace.from_workers(2, tables)
+    assert list(t.events) == [UpsertEvent(0, 0, 5, 1, 0, 1), UpsertEvent(1, 1, 5, 2, 2, 3)]
+
+
+# sha256 of the trace a seed-11 one-worker on-fail stress run dumps. The
+# trace is a pure function of the seed, and its bytes predate the column
+# store: a recorded trace writes exactly what the event lists wrote.
+STRESS_TRACE_SHA256 = "714fd938bb71778e071b606da04fedd6472cf2965a877e43a0d752f18e0d8e43"
+
+
+def test_a_seeded_stress_trace_dumps_the_same_bytes_and_round_trips(tmp_path):
+    config = WorkloadConfig(keyspace_size=64, threads=1, ops_per_thread=600,
+                            root_capacity=8, maintenance="on-fail", seed=11,
+                            checkpoint_every=200)
+    report = run_stress(config)
+    assert report.ok
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    report.trace.dump(str(first))
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == STRESS_TRACE_SHA256
+    back = Trace.load(str(first))
+    back.dump(str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert back.events == report.trace.events
+    assert (report.search_count, report.upsert_count) == (
+        len(back.searches()), len(back.upserts()))
+
+
+@pytest.mark.parametrize("field, value", [("inv", 1 << 63), ("ts", -(1 << 63) - 1)])
+def test_trace_load_rejects_an_int_past_64_bits(tmp_path, field, value):
+    upsert = {"op": "upsert", "thread": 0, "key": 1, "value": 5, "ts": 1, "inv": 0, "resp": 1}
+    upsert[field] = value
+    if field == "inv":
+        upsert["resp"] = value + 1
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({"keyspace_size": 4}) + "\n" + json.dumps(upsert) + "\n")
+    with pytest.raises(MulticopyError,
+                       match=f"malformed trace: {field} {value} does not fit in 64 bits at line 2"):
+        Trace.load(str(path))
